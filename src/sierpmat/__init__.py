@@ -2,7 +2,9 @@
 construction, one-parameter group law, nilpotent generators, coefficient
 polynomial factorization, and the associated group relations."""
 
-from . import cli, digits, exactpoly, matrix, ptm, sierpinski
+import importlib
+
+from . import digits, exactpoly, matrix, ptm, sierpinski
 from .digits import BaseBExpansion, carry_free, digit_sum, dominated_set, dominates
 from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising
 from .matrix import DEFAULT_CAP, Matrix, checked_dim
@@ -19,6 +21,14 @@ from .sierpinski import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli loads on first use, so library users skip argparse and json, and
+    # `python -m sierpmat.cli` runs without runpy's already-imported warning
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "cli",

@@ -20,18 +20,16 @@ from typing import Optional, Sequence
 
 from .digits import to_digits
 from .exactpoly import Polynomial
-from .matrix import DEFAULT_CAP, Matrix
+from .matrix import DEFAULT_CAP, Matrix, checked_dim
 from .ptm import (
     UniPoly,
     ZeroSumVector,
     base3_corollary_check,
     braid_check,
-    coefficients_by_formula,
     coefficients_by_matrix,
     eigen_poly_annihilation_check,
-    f_poly,
+    factorization,
     m_matrix,
-    one_minus_power_product,
     power_relation_check,
     power_sums,
     prouhet_partition,
@@ -40,7 +38,6 @@ from .ptm import (
     t_matrix,
     u_matrix,
     v_matrix,
-    verify_factorization,
 )
 from .sierpinski import (
     digital_binomial_sides,
@@ -163,18 +160,22 @@ def _check(name, cfg, ok, witness=None, expected_fail=False):
     return row
 
 
+def _entry_witness(mismatch: Optional[tuple]) -> Optional[dict]:
+    """Report form of a Matrix.first_mismatch tuple."""
+    if mismatch is None:
+        return None
+    row, col, lhs, rhs = mismatch
+    return {"row": row, "col": col, "lhs": _entry_str(lhs), "rhs": _entry_str(rhs)}
+
+
 def _suite_one_parameter(cfg: RunConfig) -> list[dict]:
-    ok, witness = verify_one_parameter(cfg.base, cfg.depth, cfg.cap)
-    detail = None
-    if witness is not None:
-        j, k, lhs, rhs = witness
-        detail = {"row": j, "col": k, "lhs": str(lhs), "rhs": str(rhs)}
-    return [_check("one-parameter", cfg, ok, detail)]
+    ok, mismatch = verify_one_parameter(cfg.base, cfg.depth, cfg.cap)
+    return [_check("one-parameter", cfg, ok, _entry_witness(mismatch))]
 
 
 def _suite_digital_binomial(cfg: RunConfig) -> list[dict]:
     rows = []
-    limit = min(cfg.base**cfg.depth, cfg.cap)
+    limit = checked_dim(cfg.base, cfg.depth, cfg.cap)
     for name, sides in (
         ("digital-binomial", digital_binomial_sides),
         ("multiplicity-form", multiplicity_identity_sides),
@@ -194,16 +195,8 @@ def _suite_exp(cfg: RunConfig) -> list[dict]:
     x = x_matrix(cfg.base, cfg.depth, cfg.cap)
     s = s_matrix(cfg.base, cfg.depth, cfg.cap)
     e = matrix_exp_nilpotent(x, cfg.depth * (cfg.base - 1))
-    ok, detail = True, None
-    for j in range(s.nrows):
-        for k in range(s.ncols):
-            if e[j, k] != s[j, k]:
-                ok = False
-                detail = {"row": j, "col": k, "lhs": str(e[j, k]), "rhs": str(s[j, k])}
-                break
-        if not ok:
-            break
-    return [_check("exp-recovers-s", cfg, ok, detail)]
+    mismatch = e.first_mismatch(s)
+    return [_check("exp-recovers-s", cfg, mismatch is None, _entry_witness(mismatch))]
 
 
 def _suite_stirling(cfg: RunConfig) -> list[dict]:
@@ -238,7 +231,7 @@ def _suite_factorization(cfg: RunConfig) -> list[dict]:
     base3_ok, base3_detail = True, None
 
     for idx, a in enumerate(vectors):
-        c_formula = coefficients_by_formula(b, depth, a, cfg.cap)
+        f, c_formula, product = factorization(b, depth, a, cfg.cap)
         if routes_ok and c_formula != coefficients_by_matrix(b, depth, a, cfg.cap):
             routes_ok = False
             routes_detail = {"vector_index": idx}
@@ -248,11 +241,10 @@ def _suite_factorization(cfg: RunConfig) -> list[dict]:
                     zeros_ok = False
                     zeros_detail = {"vector_index": idx, "n": n, "c": _rat_str(c)}
                     break
-        if factor_ok and not verify_factorization(b, depth, a, cfg.cap):
+        if factor_ok and f != product:
             factor_ok = False
             factor_detail = {"vector_index": idx}
         if order_ok:
-            f = f_poly(b, depth, a, cfg.cap)
             for m in range(depth):
                 if f.eval(1) != 0:
                     order_ok = False
@@ -284,7 +276,7 @@ def _suite_relations(cfg: RunConfig) -> list[dict]:
         _check("power-relation", cfg, power_relation_check(cfg.base, cfg.depth, cfg.cap)),
         _check("eigen-annihilation", cfg, eigen_poly_annihilation_check(cfg.base)),
     ]
-    braid_ok, witness = braid_check(cfg.base, cfg.depth, cfg.cap)
+    braid_ok, mismatch = braid_check(cfg.base, cfg.depth, cfg.cap)
     if cfg.base == 2:
         rows.append(_check("braid", cfg, braid_ok))
         s = s_int(cfg.base, cfg.depth, cfg.cap)
@@ -297,12 +289,7 @@ def _suite_relations(cfg: RunConfig) -> list[dict]:
         )
     else:
         # the braid relation must fail above base 2; report the witness
-        detail = None
-        if witness is not None:
-            i, j, lhs, rhs = witness
-            detail = {"row": i, "col": j, "lhs": _rat_str(lhs), "rhs": _rat_str(rhs)}
-        else:
-            detail = {"reason": "braid relation unexpectedly holds"}
+        detail = _entry_witness(mismatch) or {"reason": "braid relation unexpectedly holds"}
         rows.append(_check("braid", cfg, False, detail, expected_fail=not braid_ok))
     return rows
 
@@ -334,6 +321,8 @@ def cmd_verify(args) -> int:
     if cfg.fmt == "csv":
         raise ValueError("csv format is only available for matrix output")
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    # refuse before any suite runs; prouhet works at b^(N+1)
+    checked_dim(cfg.base, cfg.depth + 1 if "prouhet" in names else cfg.depth, cfg.cap)
     checks = []
     for name in names:
         checks.extend(_SUITE_RUNNERS[name](cfg))
@@ -366,10 +355,8 @@ def cmd_ptm(args) -> int:
         raise ValueError("csv format is only available for matrix output")
     entries = tuple(Fraction(part.strip()) for part in args.zero_sum.split(","))
     a = ZeroSumVector(cfg.base, entries)
-    f = f_poly(cfg.base, cfg.depth, a, cfg.cap)
-    c = coefficients_by_formula(cfg.base, cfg.depth, a, cfg.cap)
-    product = UniPoly(c) * one_minus_power_product(cfg.base, cfg.depth)
-    dim = cfg.base**cfg.depth
+    f, c, product = factorization(cfg.base, cfg.depth, a, cfg.cap)
+    dim = len(c)
     f_coeffs = list(f.coeffs) + [Fraction(0)] * (dim - len(f.coeffs))
     prod_coeffs = list(product.coeffs) + [Fraction(0)] * (dim - len(product.coeffs))
     equal = f == product
@@ -459,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -146,12 +146,6 @@ class Polynomial:
             total = total + px**ex * py**ey * c
         return total
 
-    def total_degree(self) -> int:
-        """Largest ex + ey over the support; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(ex + ey for ex, ey in self._terms)
-
     def __str__(self):
         if not self._terms:
             return "0"

@@ -6,7 +6,7 @@ types coerce each other); nothing here ever rounds.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 DEFAULT_CAP = 4096
 
@@ -17,10 +17,29 @@ def checked_dim(b: int, depth: int, cap: int = DEFAULT_CAP) -> int:
         raise ValueError(f"base must be >= 2, got {b}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    dim = b**depth
-    if dim > cap:
-        raise ValueError(f"dimension {b}^{depth} = {dim} exceeds cap {cap}")
+    # stop as soon as cap is passed, so a huge depth builds no huge integer
+    dim = 1
+    for _ in range(depth):
+        dim *= b
+        if dim > cap:
+            raise ValueError(f"dimension {b}^{depth} exceeds cap {cap}")
     return dim
+
+
+def kron_power(
+    seed: Callable[[int], Matrix], b: int, depth: int, cap: int = DEFAULT_CAP
+) -> Matrix:
+    """depth-fold Kronecker power of the b x b matrix seed(b).
+
+    The cap is checked before seed(b) runs, so an oversized base is refused
+    without building its seed.
+    """
+    checked_dim(b, depth, cap)
+    base = seed(b)
+    acc = base
+    for _ in range(depth - 1):
+        acc = base.kron(acc)
+    return acc
 
 
 class Matrix:
@@ -56,10 +75,19 @@ class Matrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and all(
-                a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-            )
+            and self.first_mismatch(other) is None
         )
+
+    def first_mismatch(self, other: Matrix) -> Optional[tuple]:
+        """(row, col, self entry, other entry) of the first row-major
+        difference, or None when the matrices are equal."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix comparison")
+        for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
+            for j, (a, b) in enumerate(zip(ra, rb)):
+                if a != b:
+                    return i, j, a, b
+        return None
 
     def __add__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):

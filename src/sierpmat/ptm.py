@@ -17,7 +17,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .digits import dominated_set, parity_w, ptm, to_digits
-from .matrix import DEFAULT_CAP, Matrix, checked_dim
+from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 
 __all__ = [
     "ZeroSumVector",
@@ -30,6 +30,7 @@ __all__ = [
     "coefficients_by_formula",
     "coefficients_by_matrix",
     "one_minus_power_product",
+    "factorization",
     "verify_factorization",
     "base3_corollary_check",
     "prouhet_partition",
@@ -146,24 +147,23 @@ class UniPoly:
     __repr__ = __str__
 
 
-def _kron_power(seed: Matrix, depth: int) -> Matrix:
-    acc = seed
-    for _ in range(depth - 1):
-        acc = seed.kron(acc)
-    return acc
-
-
-def m_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    """Kronecker power of the bidiagonal seed (1 on the diagonal, -1 just
-    below it); inverse of s_int."""
-    checked_dim(b, depth, cap)
-    seed = Matrix(
+def _m_base(b: int) -> Matrix:
+    return Matrix(
         [
             [1 if j == k else (-1 if j == k + 1 else 0) for k in range(b)]
             for j in range(b)
         ]
     )
-    return _kron_power(seed, depth)
+
+
+def _s_int_base(b: int) -> Matrix:
+    return Matrix([[1 if j >= k else 0 for k in range(b)] for j in range(b)])
+
+
+def m_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
+    """Kronecker power of the bidiagonal seed (1 on the diagonal, -1 just
+    below it); inverse of s_int."""
+    return kron_power(_m_base, b, depth, cap)
 
 
 def t_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
@@ -173,9 +173,7 @@ def t_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
 def s_int(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
     """Kronecker power of the lower-triangular all-ones seed; the 0/1
     dominance-pattern matrix, and the x = 1 value of the symbolic family."""
-    checked_dim(b, depth, cap)
-    seed = Matrix([[1 if j >= k else 0 for k in range(b)] for j in range(b)])
-    return _kron_power(seed, depth)
+    return kron_power(_s_int_base, b, depth, cap)
 
 
 def f_vector(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> list[Fraction]:
@@ -219,12 +217,21 @@ def one_minus_power_product(b: int, depth: int) -> UniPoly:
     return acc
 
 
+def factorization(
+    b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP
+) -> tuple[UniPoly, list[Fraction], UniPoly]:
+    """(F, c, P * prod(1 - x^(b^m))) where P has the dominated-sum
+    coefficients c; the factorization holds when the first and last agree."""
+    f = f_poly(b, depth, a, cap)
+    c = coefficients_by_formula(b, depth, a, cap)
+    return f, c, UniPoly(c) * one_minus_power_product(b, depth)
+
+
 def verify_factorization(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> bool:
     """Exact check that F == P * prod(1 - x^(b^m)) with P built from the
     dominated-sum coefficients."""
-    f = f_poly(b, depth, a, cap)
-    p = UniPoly(coefficients_by_formula(b, depth, a, cap))
-    return f == p * one_minus_power_product(b, depth)
+    f, _, product = factorization(b, depth, a, cap)
+    return f == product
 
 
 def base3_corollary_check(n: int, a: ZeroSumVector) -> bool:
@@ -301,13 +308,8 @@ def braid_check(
     witness is (row, col, lhs, rhs) of the first row-major mismatch."""
     s = s_int(b, depth, cap)
     t = t_matrix(b, depth, cap)
-    lhs = s * t * s
-    rhs = t * s * t
-    for i in range(lhs.nrows):
-        for j in range(lhs.ncols):
-            if lhs[i, j] != rhs[i, j]:
-                return False, (i, j, lhs[i, j], rhs[i, j])
-    return True, None
+    mismatch = (s * t * s).first_mismatch(t * s * t)
+    return mismatch is None, mismatch
 
 
 def random_zero_sum(b: int, rng: Random) -> ZeroSumVector:

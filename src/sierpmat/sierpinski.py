@@ -14,13 +14,12 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional, Sequence
 
-from .digits import dominated_set, dominates, multiplicity, to_digits
+from .digits import _padded_digits, dominated_set, dominates, multiplicity, to_digits
 from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising
-from .matrix import DEFAULT_CAP, Matrix, checked_dim
+from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 
 __all__ = [
     "s_base",
-    "kronecker",
     "s_matrix",
     "s_numeric",
     "s_entry",
@@ -53,29 +52,18 @@ def s_base(b: int) -> Matrix:
     )
 
 
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with the left factor indexing the blocks."""
-    return a.kron(b)
+def _s_base_at(b: int, x0: Rational) -> Matrix:
+    return s_base(b).map(lambda p: p.eval(x0))
 
 
 def s_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
     """The depth-fold Kronecker power of s_base(b)."""
-    checked_dim(b, depth, cap)
-    seed = s_base(b)
-    acc = seed
-    for _ in range(depth - 1):
-        acc = seed.kron(acc)
-    return acc
+    return kron_power(s_base, b, depth, cap)
 
 
 def s_numeric(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> Matrix:
     """Same matrix with x evaluated at x0, built numerically (Fractions)."""
-    checked_dim(b, depth, cap)
-    seed = s_base(b).map(lambda p: p.eval(x0))
-    acc = seed
-    for _ in range(depth - 1):
-        acc = seed.kron(acc)
-    return acc
+    return kron_power(lambda base: _s_base_at(base, x0), b, depth, cap)
 
 
 def s_entry(b: int, depth: int, j: int, k: int) -> Polynomial:
@@ -102,17 +90,8 @@ def verify_one_parameter(
     s_x = s_matrix(b, depth, cap)
     s_y = s_x.map(lambda p: p.compose(px=Y))
     s_sum = s_x.map(lambda p: p.compose(px=X + Y))
-    prod = s_x * s_y
-    for j in range(prod.nrows):
-        for k in range(prod.ncols):
-            if prod[j, k] != s_sum[j, k]:
-                return False, (j, k, prod[j, k], s_sum[j, k])
-    return True, None
-
-
-def _padded_digits(n: int, b: int, width: int) -> list[int]:
-    d = list(to_digits(n, b).digits)
-    return d + [0] * (width - len(d))
+    mismatch = (s_x * s_y).first_mismatch(s_sum)
+    return mismatch is None, mismatch
 
 
 def digital_binomial_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
@@ -123,15 +102,13 @@ def digital_binomial_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    width = len(to_digits(n, b).digits)
     xy = X + Y
     lhs = ONE
     for d in to_digits(n, b).digits:
         lhs = lhs * binom_rising(d, xy)
     rhs = ZERO
     for m in dominated_set(n, b):
-        dm = _padded_digits(m, b, width)
-        dn = _padded_digits(n, b, width)
+        dm, dn = _padded_digits(m, n, b)
         term = ONE
         for dmi, dni in zip(dm, dn):
             term = term * binom_rising(dmi, X) * binom_rising(dni - dmi, Y)
@@ -250,20 +227,15 @@ def x_power_entry_check(b: int, n: int) -> bool:
     (n!/(j-k)!) c(j-k, n) x^n for j >= k+n, zero elsewhere."""
     if not 1 <= n <= b - 1:
         raise ValueError(f"need 1 <= n <= b-1, got b={b}, n={n}")
-    power = x_base(b).power(n)
     xn = X**n
-    for j in range(b):
-        for k in range(b):
-            if j - k >= n:
-                coeff = Fraction(factorial(n), factorial(j - k)) * stirling_first(
-                    j - k, n
-                )
-                expected = xn.scale(coeff)
-            else:
-                expected = ZERO
-            if power[j, k] != expected:
-                return False
-    return True
+
+    def entry(d: int) -> Polynomial:
+        if d < n:
+            return ZERO
+        return xn.scale(Fraction(factorial(n), factorial(d)) * stirling_first(d, n))
+
+    closed = Matrix([[entry(j - k) for k in range(b)] for j in range(b)])
+    return x_base(b).power(n) == closed
 
 
 def matrix_exp_nilpotent(x_mat: Matrix, nilpotency_bound: Optional[int] = None) -> Matrix:
@@ -307,8 +279,7 @@ class KroneckerChain:
 def s_chain(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> KroneckerChain:
     """Chain form of s_numeric(b, depth, x0)."""
     checked_dim(b, depth, cap)
-    factor = s_base(b).map(lambda p: p.eval(x0))
-    return KroneckerChain(factor, depth)
+    return KroneckerChain(_s_base_at(b, x0), depth)
 
 
 def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sierpmat
 from sierpmat import cli
+from sierpmat.exactpoly import X, Y
 
 
 def run(capsys, *argv):
@@ -106,6 +112,25 @@ def test_matrix_cap_exceeded(capsys):
     assert "exceeds cap" in err
 
 
+def test_matrix_huge_depth_hits_cap(capsys):
+    code, out, err = run(capsys, "matrix", "S", "--depth", "10000000")
+    assert code == 2 and out == ""
+    assert err == "error: dimension 2^10000000 exceeds cap 4096\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "S", "--eval", "1/0"),
+        ("ptm", "--zero-sum=1/0,1"),
+    ],
+)
+def test_zero_denominator_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_matrix_cap_flag_raises_limit(capsys):
     code, out, _ = run(
         capsys, "matrix", "M", "--base", "2", "--depth", "5", "--cap", "32"
@@ -203,6 +228,31 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "exp", "--base", "2", "--depth", "2")
     assert code == 1
     assert json.loads(out)["all_pass"] is False
+
+
+def test_verify_witness_strings(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_one_parameter", lambda b, n, cap: (False, (1, 0, X, Y)))
+    code, out, _ = run(capsys, "verify", "one-parameter", "--base", "2", "--depth", "1")
+    assert code == 1
+    witness = json.loads(out)["checks"][0]["witness"]
+    assert witness == {"row": 1, "col": 0, "lhs": "x", "rhs": "y"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # prouhet needs b^(N+1) = 128
+        ("verify", "all", "--base", "2", "--depth", "6", "--cap", "64"),
+        ("verify", "digital-binomial", "--base", "2", "--depth", "13"),
+    ],
+)
+def test_verify_checks_cap_before_any_suite(capsys, monkeypatch, argv):
+    ran = []
+    for name in cli._SUITE_RUNNERS:
+        monkeypatch.setitem(cli._SUITE_RUNNERS, name, lambda cfg, name=name: ran.append(name) or [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and ran == []
+    assert "exceeds cap" in err
 
 
 def test_verify_text_format(capsys):
@@ -303,3 +353,31 @@ def test_run_config_validation():
         cli.RunConfig(base=1, depth=1)
     with pytest.raises(ValueError):
         cli.RunConfig(base=2, depth=0)
+
+
+# -- module entry ------------------------------------------------------------
+
+
+def _python(*args):
+    src = str(Path(sierpmat.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_module_entry_has_clean_stderr():
+    proc = _python("-m", "sierpmat.cli", "matrix", "S", "--depth", "1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["dim"] == 2
+
+
+def test_import_leaves_cli_unloaded():
+    proc = _python(
+        "-c",
+        "import sys, sierpmat; print(sorted({'sierpmat.cli', 'argparse'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sierpmat.exactpoly import ONE, X, Y, Polynomial
-from sierpmat.matrix import DEFAULT_CAP, Matrix, checked_dim
+from sierpmat.matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 
 
 def test_construction_and_shape():
@@ -94,6 +94,35 @@ def test_kron_blocks_indexed_by_left_factor():
     assert k[2, 0] == 0 and k[3, 1] == 21
 
 
+def test_kron_power_matches_repeated_kron():
+    a = Matrix([[1, 0], [2, 3]])
+    assert kron_power(lambda b: a, 2, 1) == a
+    assert kron_power(lambda b: a, 2, 3) == a.kron(a.kron(a))
+    assert kron_power(lambda b: a, 2, 3, cap=8).nrows == 8
+
+
+def test_kron_power_checks_cap_before_building_seed():
+    def seed(b):
+        raise AssertionError("seed built for an oversized base")
+
+    with pytest.raises(ValueError, match="exceeds cap"):
+        kron_power(seed, 5000, 1)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        kron_power(seed, 2, 3, cap=7)
+
+
+def test_first_mismatch():
+    a = Matrix([[1, 0], [2, 3]])
+    assert a.first_mismatch(Matrix([[Fraction(1), 0], [2, 3]])) is None
+    # first difference in row-major order, entries in (self, other) order
+    assert a.first_mismatch(Matrix([[1, 0], [5, 6]])) == (1, 0, 2, 5)
+    assert Matrix([[X, 0]]).first_mismatch(Matrix([[Y, 1]])) == (0, 0, X, Y)
+    with pytest.raises(ValueError):
+        a.first_mismatch(Matrix([[1, 0]]))
+    # == reports a shape mismatch as inequality, not an error
+    assert a != Matrix([[1, 0]])
+
+
 def test_kron_mixed_product_rule():
     a = Matrix([[1, 1], [0, 1]])
     b = Matrix([[2, 0], [1, 1]])
@@ -148,6 +177,9 @@ def test_checked_dim():
     with pytest.raises(ValueError):
         checked_dim(2, 13)
     assert checked_dim(2, 13, cap=10000) == 8192
+    # a huge depth is refused without forming b**depth
+    with pytest.raises(ValueError, match=r"dimension 2\^10000000 exceeds cap 4096"):
+        checked_dim(2, 10**7)
     with pytest.raises(ValueError):
         checked_dim(1, 2)
     with pytest.raises(ValueError):

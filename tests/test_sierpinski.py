@@ -13,7 +13,6 @@ from sierpmat.sierpinski import (
     KroneckerChain,
     digital_binomial_sides,
     gould_check,
-    kronecker,
     matrix_exp_nilpotent,
     multiplicity_identity_sides,
     s_base,
@@ -108,9 +107,8 @@ def test_s32_display():
 
 def test_kronecker_alias_and_block_identity():
     a = s_base(2)
-    assert kronecker(a, a) == a.kron(a)
     eye = Matrix.identity(2, one=ONE, zero=ZERO)
-    blk = kronecker(eye, a)
+    blk = eye.kron(a)
     assert blk == Matrix(
         [
             [1, 0, 0, 0],
