@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
@@ -34,7 +33,7 @@ from .ptm import (
     power_sums,
     prouhet_partition,
     random_zero_sum,
-    s_int,
+    square_relation_check,
     t_matrix,
     u_matrix,
     v_matrix,
@@ -51,33 +50,6 @@ from .sierpinski import (
     x_power_entry_check,
 )
 
-SUITES = (
-    "one-parameter",
-    "digital-binomial",
-    "exp",
-    "stirling",
-    "factorization",
-    "relations",
-    "prouhet",
-    "all",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    base: int
-    depth: int
-    cap: int = DEFAULT_CAP
-    fmt: str = "json"
-    seed: int = 0
-    x0: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-
 
 def _rat_str(v) -> str:
     return str(Fraction(v))
@@ -89,63 +61,51 @@ def _entry_str(e) -> str:
     return _rat_str(e)
 
 
-def _matrix_strings(mat: Matrix) -> list[list[str]]:
-    return [[_entry_str(e) for e in row] for row in mat.rows]
-
-
-def _emit_matrix(kind: str, cfg: RunConfig, mat: Matrix, symbolic: bool) -> str:
-    cells = _matrix_strings(mat)
-    if cfg.fmt == "csv":
-        if symbolic:
-            raise ValueError(
-                "csv format requires numeric entries; pass --eval to evaluate"
-            )
+def _emit_matrix(kind: str, args, x0: Optional[Fraction], mat: Matrix, symbolic: bool) -> str:
+    cells = [[_entry_str(e) for e in row] for row in mat.rows]
+    if args.format == "csv":
         return "\n".join(",".join(row) for row in cells)
-    if cfg.fmt == "text":
+    if args.format == "text":
         widths = [max(len(r[j]) for r in cells) for j in range(len(cells[0]))]
         return "\n".join(
             "  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells
         )
     payload = {
         "kind": kind,
-        "base": cfg.base,
-        "depth": cfg.depth,
+        "base": args.base,
+        "depth": args.depth,
         "dim": mat.nrows,
         "symbolic": symbolic,
     }
-    if cfg.x0 is not None:
-        payload["eval"] = _rat_str(cfg.x0)
+    if x0 is not None:
+        payload["eval"] = _rat_str(x0)
     payload["entries"] = cells
     return json.dumps(payload, indent=2)
 
 
 def cmd_matrix(args) -> int:
-    cfg = _config_from(args)
-    kind = args.kind
-    if kind == "S":
-        if cfg.x0 is not None:
-            mat, symbolic = s_numeric(cfg.base, cfg.depth, cfg.x0, cfg.cap), False
-        else:
-            mat, symbolic = s_matrix(cfg.base, cfg.depth, cfg.cap), True
-    elif kind == "X":
-        mat = x_matrix(cfg.base, cfg.depth, cfg.cap)
-        symbolic = cfg.x0 is None
-        if cfg.x0 is not None:
-            x0 = cfg.x0
-            mat = mat.map(lambda p: p.eval(x0))
-    elif kind == "M":
-        mat, symbolic = m_matrix(cfg.base, cfg.depth, cfg.cap), False
-    elif kind == "T":
-        mat, symbolic = t_matrix(cfg.base, cfg.depth, cfg.cap), False
-    elif kind == "U":
-        mat, symbolic = u_matrix(cfg.base, cfg.depth, cfg.cap), False
+    x0 = None if args.eval is None else Fraction(args.eval)
+    kind, b, depth, cap = args.kind, args.base, args.depth, args.cap
+    symbolic = x0 is None and kind in ("S", "X")
+    # refuse before building: a symbolic matrix near the cap takes seconds
+    if symbolic and args.format == "csv":
+        raise ValueError("csv format requires numeric entries; pass --eval to evaluate")
+    if kind == "S" and x0 is not None:
+        mat = s_numeric(b, depth, x0, cap)
     else:
-        mat, symbolic = v_matrix(cfg.base, cfg.depth, cfg.cap), False
-    print(_emit_matrix(kind, cfg, mat, symbolic))
+        # built per call, so a builder patched on this module is the one used
+        builders = {
+            "S": s_matrix, "X": x_matrix, "M": m_matrix,
+            "T": t_matrix, "U": u_matrix, "V": v_matrix,
+        }
+        mat = builders[kind](b, depth, cap)
+        if kind == "X" and x0 is not None:
+            mat = mat.map(lambda p: p.eval(x0))
+    print(_emit_matrix(kind, args, x0, mat, symbolic))
     return 0
 
 
-def _check(name, cfg, ok, witness=None, expected_fail=False):
+def _check(name, args, ok, witness=None, expected_fail=False):
     """One report row. A failure that the theory predicts (expected_fail)
     still counts as passing the suite."""
     if ok:
@@ -154,10 +114,17 @@ def _check(name, cfg, ok, witness=None, expected_fail=False):
         status = "expected-fail"
     else:
         status = "fail"
-    row = {"name": name, "base": cfg.base, "depth": cfg.depth, "status": status}
+    row = {"name": name, "base": args.base, "depth": args.depth, "status": status}
     if witness is not None and status != "pass":
         row["witness"] = witness
     return row
+
+
+def _first(name, args, witnesses):
+    """Report row for a sweep. witnesses lazily yields one dict per failing
+    case; the first one, if any, fails the check and becomes its witness."""
+    witness = next(witnesses, None)
+    return _check(name, args, witness is None, witness)
 
 
 def _entry_witness(mismatch: Optional[tuple]) -> Optional[dict]:
@@ -168,141 +135,120 @@ def _entry_witness(mismatch: Optional[tuple]) -> Optional[dict]:
     return {"row": row, "col": col, "lhs": _entry_str(lhs), "rhs": _entry_str(rhs)}
 
 
-def _suite_one_parameter(cfg: RunConfig) -> list[dict]:
-    ok, mismatch = verify_one_parameter(cfg.base, cfg.depth, cfg.cap)
-    return [_check("one-parameter", cfg, ok, _entry_witness(mismatch))]
+def _suite_one_parameter(args) -> list[dict]:
+    ok, mismatch = verify_one_parameter(args.base, args.depth, args.cap)
+    return [_check("one-parameter", args, ok, _entry_witness(mismatch))]
 
 
-def _suite_digital_binomial(cfg: RunConfig) -> list[dict]:
-    rows = []
-    limit = checked_dim(cfg.base, cfg.depth, cfg.cap)
-    for name, sides in (
-        ("digital-binomial", digital_binomial_sides),
-        ("multiplicity-form", multiplicity_identity_sides),
-    ):
-        ok, detail = True, None
+def _suite_digital_binomial(args) -> list[dict]:
+    limit = checked_dim(args.base, args.depth, args.cap)
+
+    def mismatches(sides):
         for n in range(limit):
-            lhs, rhs = sides(n, cfg.base)
+            lhs, rhs = sides(n, args.base)
             if lhs != rhs:
-                ok = False
-                detail = {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
-                break
-        rows.append(_check(name, cfg, ok, detail))
-    return rows
+                yield {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
+
+    return [
+        _first("digital-binomial", args, mismatches(digital_binomial_sides)),
+        _first("multiplicity-form", args, mismatches(multiplicity_identity_sides)),
+    ]
 
 
-def _suite_exp(cfg: RunConfig) -> list[dict]:
-    x = x_matrix(cfg.base, cfg.depth, cfg.cap)
-    s = s_matrix(cfg.base, cfg.depth, cfg.cap)
-    e = matrix_exp_nilpotent(x, cfg.depth * (cfg.base - 1))
+def _suite_exp(args) -> list[dict]:
+    x = x_matrix(args.base, args.depth, args.cap)
+    s = s_matrix(args.base, args.depth, args.cap)
+    e = matrix_exp_nilpotent(x, args.depth * (args.base - 1))
     mismatch = e.first_mismatch(s)
-    return [_check("exp-recovers-s", cfg, mismatch is None, _entry_witness(mismatch))]
+    return [_check("exp-recovers-s", args, mismatch is None, _entry_witness(mismatch))]
 
 
-def _suite_stirling(cfg: RunConfig) -> list[dict]:
-    rows = []
-    ok, detail = True, None
-    for l in range(1, 13):
-        for n in range(1, l + 1):
-            if not stirling_identity_check(l, n):
-                ok, detail = False, {"l": l, "n": n}
-                break
-        if not ok:
-            break
-    rows.append(_check("stirling-identity", cfg, ok, detail))
-    ok, detail = True, None
-    for n in range(1, cfg.base):
-        if not x_power_entry_check(cfg.base, n):
-            ok, detail = False, {"n": n}
-            break
-    rows.append(_check("x-power-entries", cfg, ok, detail))
-    return rows
+def _suite_stirling(args) -> list[dict]:
+    b = args.base
+    stirling = (
+        {"l": l, "n": n}
+        for l in range(1, 13)
+        for n in range(1, l + 1)
+        if not stirling_identity_check(l, n)
+    )
+    x_power = ({"n": n} for n in range(1, b) if not x_power_entry_check(b, n))
+    return [
+        _first("stirling-identity", args, stirling),
+        _first("x-power-entries", args, x_power),
+    ]
 
 
-def _suite_factorization(cfg: RunConfig) -> list[dict]:
-    rng = Random(cfg.seed)
-    vectors = [random_zero_sum(cfg.base, rng) for _ in range(20)]
-    b, depth = cfg.base, cfg.depth
+def _derivatives(f, count):
+    """f, f', f'', ...: count polynomials in all."""
+    for _ in range(count):
+        yield f
+        f = f.derivative()
 
-    routes_ok, routes_detail = True, None
-    zeros_ok, zeros_detail = True, None
-    factor_ok, factor_detail = True, None
-    order_ok, order_detail = True, None
-    base3_ok, base3_detail = True, None
 
-    for idx, a in enumerate(vectors):
-        f, c_formula, product = factorization(b, depth, a, cfg.cap)
-        if routes_ok and c_formula != coefficients_by_matrix(b, depth, a, cfg.cap):
-            routes_ok = False
-            routes_detail = {"vector_index": idx}
-        if zeros_ok:
-            for n, c in enumerate(c_formula):
-                if (b - 1) in to_digits(n, b).digits and c != 0:
-                    zeros_ok = False
-                    zeros_detail = {"vector_index": idx, "n": n, "c": _rat_str(c)}
-                    break
-        if factor_ok and f != product:
-            factor_ok = False
-            factor_detail = {"vector_index": idx}
-        if order_ok:
-            for m in range(depth):
-                if f.eval(1) != 0:
-                    order_ok = False
-                    order_detail = {"vector_index": idx, "derivative": m}
-                    break
-                f = f.derivative()
-        if b == 3 and base3_ok:
-            for n in range(3**depth):
-                if 2 in to_digits(n, 3).digits:
-                    continue
-                if not base3_corollary_check(n, a):
-                    base3_ok = False
-                    base3_detail = {"vector_index": idx, "n": n}
-                    break
+def _suite_factorization(args) -> list[dict]:
+    b, depth, cap = args.base, args.depth, args.cap
+    rng = Random(args.seed)
+    vectors = [random_zero_sum(b, rng) for _ in range(20)]
+    # (F, c, P * prod(1 - x^(b^m))) per vector; witnesses run vector first, then n
+    results = [factorization(b, depth, a, cap) for a in vectors]
 
+    routes = (
+        {"vector_index": i}
+        for i, (_, c, _) in enumerate(results)
+        if c != coefficients_by_matrix(b, depth, vectors[i], cap)
+    )
+    zeros = (
+        {"vector_index": i, "n": n, "c": _rat_str(cn)}
+        for i, (_, c, _) in enumerate(results)
+        for n, cn in enumerate(c)
+        if (b - 1) in to_digits(n, b).digits and cn != 0
+    )
+    factor = ({"vector_index": i} for i, (f, _, product) in enumerate(results) if f != product)
+    order = (
+        {"vector_index": i, "derivative": m}
+        for i, (f, _, _) in enumerate(results)
+        for m, g in enumerate(_derivatives(f, depth))
+        if g.eval(1) != 0
+    )
     rows = [
-        _check("coefficient-routes", cfg, routes_ok, routes_detail),
-        _check("top-digit-zeros", cfg, zeros_ok, zeros_detail),
-        _check("factorization", cfg, factor_ok, factor_detail),
-        _check("zero-order-at-one", cfg, order_ok, order_detail),
+        _first("coefficient-routes", args, routes),
+        _first("top-digit-zeros", args, zeros),
+        _first("factorization", args, factor),
+        _first("zero-order-at-one", args, order),
     ]
     if b == 3:
-        rows.append(_check("base3-corollary", cfg, base3_ok, base3_detail))
+        corollary = (
+            {"vector_index": i, "n": n}
+            for i, a in enumerate(vectors)
+            for n in range(3**depth)
+            if 2 not in to_digits(n, 3).digits and not base3_corollary_check(n, a)
+        )
+        rows.append(_first("base3-corollary", args, corollary))
     return rows
 
 
-def _suite_relations(cfg: RunConfig) -> list[dict]:
+def _suite_relations(args) -> list[dict]:
+    b, depth, cap = args.base, args.depth, args.cap
     rows = [
-        _check("power-relation", cfg, power_relation_check(cfg.base, cfg.depth, cfg.cap)),
-        _check("eigen-annihilation", cfg, eigen_poly_annihilation_check(cfg.base)),
+        _check("power-relation", args, power_relation_check(b, depth, cap)),
+        _check("eigen-annihilation", args, eigen_poly_annihilation_check(b)),
     ]
-    braid_ok, mismatch = braid_check(cfg.base, cfg.depth, cfg.cap)
-    if cfg.base == 2:
-        rows.append(_check("braid", cfg, braid_ok))
-        s = s_int(cfg.base, cfg.depth, cfg.cap)
-        t = t_matrix(cfg.base, cfg.depth, cfg.cap)
-        sign = -1 if cfg.depth % 2 else 1
-        target = Matrix.identity(s.nrows, one=sign)
-        q, r = s * t * s, t * s * t
-        rows.append(
-            _check("square-relation", cfg, q.power(2) == target and r.power(2) == target)
-        )
+    braid_ok, mismatch = braid_check(b, depth, cap)
+    if b == 2:
+        rows.append(_check("braid", args, braid_ok))
+        rows.append(_check("square-relation", args, square_relation_check(depth, cap)))
     else:
         # the braid relation must fail above base 2; report the witness
         detail = _entry_witness(mismatch) or {"reason": "braid relation unexpectedly holds"}
-        rows.append(_check("braid", cfg, False, detail, expected_fail=not braid_ok))
+        rows.append(_check("braid", args, False, detail, expected_fail=not braid_ok))
     return rows
 
 
-def _suite_prouhet(cfg: RunConfig) -> list[dict]:
-    sets = prouhet_partition(cfg.base, cfg.depth, cfg.cap)
-    table = power_sums(sets, cfg.depth)
-    ok, detail = True, None
-    for m, row in enumerate(table):
-        if len(set(row)) != 1:
-            ok, detail = False, {"degree": m, "sums": row}
-            break
-    return [_check("prouhet", cfg, ok, detail)]
+def _suite_prouhet(args) -> list[dict]:
+    sets = prouhet_partition(args.base, args.depth, args.cap)
+    table = power_sums(sets, args.depth)
+    unequal = ({"degree": m, "sums": row} for m, row in enumerate(table) if len(set(row)) != 1)
+    return [_first("prouhet", args, unequal)]
 
 
 _SUITE_RUNNERS = {
@@ -314,29 +260,29 @@ _SUITE_RUNNERS = {
     "relations": _suite_relations,
     "prouhet": _suite_prouhet,
 }
+SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from(args)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         raise ValueError("csv format is only available for matrix output")
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     # refuse before any suite runs; prouhet works at b^(N+1)
-    checked_dim(cfg.base, cfg.depth + 1 if "prouhet" in names else cfg.depth, cfg.cap)
+    checked_dim(args.base, args.depth + 1 if "prouhet" in names else args.depth, args.cap)
     checks = []
     for name in names:
-        checks.extend(_SUITE_RUNNERS[name](cfg))
+        checks.extend(_SUITE_RUNNERS[name](args))
     all_pass = all(c["status"] in ("pass", "expected-fail") for c in checks)
     report = {
         "suite": args.suite,
-        "base": cfg.base,
-        "depth": cfg.depth,
-        "seed": cfg.seed,
+        "base": args.base,
+        "depth": args.depth,
+        "seed": args.seed,
         "checks": checks,
         "all_pass": all_pass,
     }
-    if cfg.fmt == "text":
-        lines = [f"suite {args.suite} (base {cfg.base}, depth {cfg.depth})"]
+    if args.format == "text":
+        lines = [f"suite {args.suite} (base {args.base}, depth {args.depth})"]
         for c in checks:
             line = f"  {c['name']}: {c['status']}"
             if "witness" in c:
@@ -350,26 +296,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ptm(args) -> int:
-    cfg = _config_from(args)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         raise ValueError("csv format is only available for matrix output")
     entries = tuple(Fraction(part.strip()) for part in args.zero_sum.split(","))
-    a = ZeroSumVector(cfg.base, entries)
-    f, c, product = factorization(cfg.base, cfg.depth, a, cfg.cap)
+    a = ZeroSumVector(args.base, entries)
+    f, c, product = factorization(args.base, args.depth, a, args.cap)
     dim = len(c)
     f_coeffs = list(f.coeffs) + [Fraction(0)] * (dim - len(f.coeffs))
     prod_coeffs = list(product.coeffs) + [Fraction(0)] * (dim - len(product.coeffs))
     equal = f == product
     report = {
-        "base": cfg.base,
-        "depth": cfg.depth,
+        "base": args.base,
+        "depth": args.depth,
         "zero_sum": [_rat_str(e) for e in a.entries],
         "f_coefficients": [_rat_str(v) for v in f_coeffs],
         "p_coefficients": [_rat_str(v) for v in c],
         "product_coefficients": [_rat_str(v) for v in prod_coeffs],
         "equal": equal,
     }
-    if cfg.fmt == "text":
+    if args.format == "text":
         lines = [
             f"F: {f}",
             f"P: {UniPoly(c)}",
@@ -380,18 +325,6 @@ def cmd_ptm(args) -> int:
     else:
         print(json.dumps(report, indent=2))
     return 0 if equal else 1
-
-
-def _config_from(args) -> RunConfig:
-    x0 = Fraction(args.eval) if getattr(args, "eval", None) is not None else None
-    return RunConfig(
-        base=args.base,
-        depth=args.depth,
-        cap=args.cap,
-        fmt=args.format,
-        seed=args.seed,
-        x0=x0,
-    )
 
 
 def _add_common(parser, with_eval=False, with_zero_sum=False):

@@ -40,6 +40,7 @@ __all__ = [
     "power_relation_check",
     "eigen_poly_annihilation_check",
     "braid_check",
+    "square_relation_check",
     "random_zero_sum",
 ]
 
@@ -310,6 +311,15 @@ def braid_check(
     t = t_matrix(b, depth, cap)
     mismatch = (s * t * s).first_mismatch(t * s * t)
     return mismatch is None, mismatch
+
+
+def square_relation_check(depth: int, cap: int = DEFAULT_CAP) -> bool:
+    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly."""
+    s = s_int(2, depth, cap)
+    t = t_matrix(2, depth, cap)
+    target = Matrix.identity(s.nrows, one=-1 if depth % 2 else 1)
+    q, r = s * t * s, t * s * t
+    return q.power(2) == target and r.power(2) == target
 
 
 def random_zero_sum(b: int, rng: Random) -> ZeroSumVector:

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sierpmat
 from sierpmat import cli
 from sierpmat.exactpoly import X, Y
+from sierpmat.ptm import UniPoly, factorization, power_sums, random_zero_sum
+from sierpmat.sierpinski import digital_binomial_sides, multiplicity_identity_sides
 
 
 def run(capsys, *argv):
@@ -78,6 +86,15 @@ def test_matrix_csv_symbolic_rejected(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "--eval" in err
+
+
+@pytest.mark.parametrize("kind", ["S", "X"])
+def test_matrix_csv_symbolic_refused_before_build(capsys, monkeypatch, kind):
+    built = []
+    monkeypatch.setattr(cli, "s_matrix", lambda *a: built.append("S"))
+    monkeypatch.setattr(cli, "x_matrix", lambda *a: built.append("X"))
+    code, out, _ = run(capsys, "matrix", kind, "--depth", "12", "--format", "csv")
+    assert code == 2 and out == "" and built == []
 
 
 def test_matrix_csv_after_eval(capsys):
@@ -238,6 +255,78 @@ def test_verify_witness_strings(capsys, monkeypatch):
     assert witness == {"row": 1, "col": 0, "lhs": "x", "rhs": "y"}
 
 
+def test_verify_sweep_witnesses_are_first_failures(capsys, monkeypatch):
+    """Each sweep fails at two cases; the report names the first, in
+    row-major order (vector first, then n)."""
+    rng = Random(0)
+    vectors = [random_zero_sum(3, rng) for _ in range(20)]
+
+    def shifted(sides, bad):
+        def fake(n, b):
+            lhs, rhs = sides(n, b)
+            return (lhs, rhs + 1) if n in bad else (lhs, rhs)
+        return fake
+
+    def fake_factorization(b, depth, a, cap):
+        f, c, product = factorization(b, depth, a, cap)
+        idx = vectors.index(a)
+        if idx in (2, 3):
+            # a top-digit coefficient that should vanish: n = 8 = (22)_3, n = 2 = (02)_3
+            c = list(c)
+            c[8 if idx == 2 else 2] += Fraction(5, 2)
+        if idx == 4:
+            f = f + UniPoly([-1, 1])  # F(1) = 0 still, F'(1) = 1
+        if idx == 6:
+            f = f + UniPoly([1])
+        return f, c, product
+
+    def fake_power_sums(sets, max_degree):
+        table = power_sums(sets, max_degree)
+        table[1][2] += 1
+        table[2][0] += 1
+        return table
+
+    monkeypatch.setattr(cli, "digital_binomial_sides", shifted(digital_binomial_sides, {2, 5}))
+    monkeypatch.setattr(
+        cli, "multiplicity_identity_sides", shifted(multiplicity_identity_sides, {1, 7})
+    )
+    monkeypatch.setattr(cli, "stirling_identity_check", lambda l, n: (l, n) not in {(4, 2), (4, 3), (5, 1)})
+    monkeypatch.setattr(cli, "x_power_entry_check", lambda b, n: n != 2)
+    monkeypatch.setattr(cli, "factorization", fake_factorization)
+    monkeypatch.setattr(
+        cli, "base3_corollary_check", lambda n, a: not (a in vectors[1:3] and n in (3, 4))
+    )
+    monkeypatch.setattr(cli, "power_sums", fake_power_sums)
+
+    code, out, _ = run(capsys, "verify", "all", "--base", "3", "--depth", "2")
+    assert code == 1
+    rows = {c["name"]: (c["status"], c.get("witness")) for c in json.loads(out)["checks"]}
+    assert rows == {
+        "one-parameter": ("pass", None),
+        "digital-binomial": (
+            "fail",
+            {
+                "n": 2,
+                "lhs": "(1/2)*x^2 + x*y + (1/2)*y^2 + (1/2)*x + (1/2)*y",
+                "rhs": "(1/2)*x^2 + x*y + (1/2)*y^2 + (1/2)*x + (1/2)*y + 1",
+            },
+        ),
+        "multiplicity-form": ("fail", {"n": 1, "lhs": "x + y", "rhs": "x + y + 1"}),
+        "exp-recovers-s": ("pass", None),
+        "stirling-identity": ("fail", {"l": 4, "n": 2}),
+        "x-power-entries": ("fail", {"n": 2}),
+        "coefficient-routes": ("fail", {"vector_index": 2}),
+        "top-digit-zeros": ("fail", {"vector_index": 2, "n": 8, "c": "5/2"}),
+        "factorization": ("fail", {"vector_index": 4}),
+        "zero-order-at-one": ("fail", {"vector_index": 4, "derivative": 1}),
+        "base3-corollary": ("fail", {"vector_index": 1, "n": 3}),
+        "power-relation": ("pass", None),
+        "eigen-annihilation": ("pass", None),
+        "braid": ("expected-fail", {"row": 0, "col": 5, "lhs": "0", "rhs": "-1"}),
+        "prouhet": ("fail", {"degree": 1, "sums": [117, 117, 118]}),
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -345,14 +434,58 @@ def test_ptm_requires_zero_sum_flag():
     assert exc.value.code == 2
 
 
-# -- config ------------------------------------------------------------------
+# -- usage errors ------------------------------------------------------------
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig(base=1, depth=1)
-    with pytest.raises(ValueError):
-        cli.RunConfig(base=2, depth=0)
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--base", "1", "error: base must be >= 2, got 1\n"),
+        ("--depth", "0", "error: depth must be >= 1, got 0\n"),
+    ],
+    ids=["base", "depth"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("matrix", "S"), ("matrix", "X"), ("verify", "stirling"), ("ptm", "--zero-sum=1,-1")],
+    ids=["matrix-S", "matrix-X", "verify-stirling", "ptm"],
+)
+def test_bad_base_or_depth_is_usage_error(capsys, command, flag, value, message):
+    code, out, err = run(capsys, *command, flag, value)
+    assert code == 2 and out == ""
+    assert err == message
+
+
+_COMMANDS = st.sampled_from(
+    [("matrix", kind) for kind in ("S", "X", "M", "T", "U", "V", "Z")]
+    + [("verify", suite) for suite in (*cli.SUITES, "nope")]
+    + [("ptm", f"--zero-sum={a}") for a in ("1,-1", "1,1,-2", "1/0,1", "x", "", "1,,1")]
+    + [("ptm",), ("bogus",)]
+)
+_OPTIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["--base", "--depth", "--seed"]),
+            st.sampled_from(["-3", "0", "1", "2", "3", "x", ""]),
+        ),
+        st.tuples(st.just("--eval"), st.sampled_from(["1/0", "x", "", "-3", "3/2", "1"])),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "csv", "text", "xml"])),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=_COMMANDS, options=_OPTIONS)
+def test_any_argv_exits_0_1_or_2(command, options):
+    # --cap last keeps every accepted command small
+    argv = [*command, *(f"{flag}={value}" for flag, value in options), "--cap", "27"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
 
 
 # -- module entry ------------------------------------------------------------

@@ -22,6 +22,7 @@ from sierpmat.ptm import (
     prouhet_partition,
     random_zero_sum,
     s_int,
+    square_relation_check,
     t_matrix,
     u_matrix,
     v_matrix,
@@ -341,6 +342,7 @@ def test_q_and_r_squares_b2():
         target = Matrix.identity(2**depth, one=sign)
         assert q.power(2) == target
         assert r.power(2) == target
+        assert square_relation_check(depth)
 
 
 def test_random_zero_sum_is_zero_sum_and_seeded():
