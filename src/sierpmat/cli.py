@@ -25,6 +25,7 @@ from .ptm import (
     ZeroSumVector,
     base3_corollary_check,
     braid_check,
+    braid_products,
     coefficients_by_matrix,
     eigen_poly_annihilation_check,
     factorization,
@@ -233,10 +234,12 @@ def _suite_relations(args) -> list[dict]:
         _check("power-relation", args, power_relation_check(b, depth, cap)),
         _check("eigen-annihilation", args, eigen_poly_annihilation_check(b)),
     ]
-    braid_ok, mismatch = braid_check(b, depth, cap)
+    # S T S and T S T are formed once, for the braid and the square relation
+    products = braid_products(b, depth, cap)
+    braid_ok, mismatch = braid_check(b, depth, cap, products)
     if b == 2:
         rows.append(_check("braid", args, braid_ok))
-        rows.append(_check("square-relation", args, square_relation_check(depth, cap)))
+        rows.append(_check("square-relation", args, square_relation_check(depth, cap, products)))
     else:
         # the braid relation must fail above base 2; report the witness
         detail = _entry_witness(mismatch) or {"reason": "braid relation unexpectedly holds"}

@@ -1,7 +1,12 @@
-"""Dense exact matrices over any ring whose elements supply +, * and ==.
+"""Dense exact matrices over any ring whose elements supply +, *, == and
+truth (an entry is zero exactly when it is falsy).
 
 Entries may be ints, Fractions, or Polynomials (mixed freely, since those
-types coerce each other); nothing here ever rounds.
+types coerce each other); nothing here ever rounds. Storage is dense, but
+the product and matvec do work only on nonzero entries: A * B forms one
+entry product per pair (A[i][k], B[k][j]) with both factors nonzero, and
+A.matvec(v) one per nonzero A[i][k]. Every family in this package is
+supported on the digit-dominance pattern, so nearly all entries are zero.
 """
 
 from __future__ import annotations
@@ -40,6 +45,19 @@ def kron_power(
     for _ in range(depth - 1):
         acc = base.kron(acc)
     return acc
+
+
+def _zero_of(*row_sets) -> object:
+    """The zero a dense sum of products of these entries gives: 0 times one
+    entry of each type present (int 0, Fraction(0) or the zero Polynomial)."""
+    samples = {}
+    for rows in row_sets:
+        for row in rows:
+            samples.update(zip(map(type, row), row))
+    zero = 0
+    for e in samples.values():
+        zero = zero * e
+    return zero
 
 
 class Matrix:
@@ -108,10 +126,21 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
-            cols = other.transpose().rows
-            return Matrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-            )
+            # row by row (Gustavson): row i of the product sums a * (row k of
+            # other) over the nonzero a = self[i][k], touching only nonzeros
+            nonzeros = [[(j, e) for j, e in enumerate(row) if e] for row in other.rows]
+            zero = _zero_of(self.rows, other.rows)
+            cols = range(other.ncols)
+            out = []
+            for row in self.rows:
+                acc = {}
+                for a, pairs in zip(row, nonzeros):
+                    if a:
+                        for j, e in pairs:
+                            p = a * e
+                            acc[j] = acc[j] + p if j in acc else p
+                out.append([acc.get(j, zero) for j in cols])
+            return Matrix(out)
         return self.map(lambda e: e * other)
 
     def __rmul__(self, other):
@@ -156,12 +185,13 @@ class Matrix:
     def matvec(self, vec: Sequence) -> list:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match matrix width")
-        return [sum(a * v for a, v in zip(row, vec)) for row in self.rows]
+        zero = _zero_of(self.rows, (vec,))
+        return [sum((a * v for a, v in zip(row, vec) if a), zero) for row in self.rows]
 
     def is_lower_triangular(self, strict: bool = False) -> bool:
         for i, row in enumerate(self.rows):
             first_banned = i + (0 if strict else 1)
-            if any(e != 0 for e in row[first_banned:]):
+            if any(row[first_banned:]):
                 return False
         return True
 

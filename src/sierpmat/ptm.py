@@ -39,6 +39,7 @@ __all__ = [
     "v_matrix",
     "power_relation_check",
     "eigen_poly_annihilation_check",
+    "braid_products",
     "braid_check",
     "square_relation_check",
     "random_zero_sum",
@@ -302,23 +303,34 @@ def eigen_poly_annihilation_check(b: int) -> bool:
     return True
 
 
-def braid_check(
-    b: int, depth: int, cap: int = DEFAULT_CAP
-) -> tuple[bool, Optional[tuple[int, int, Fraction, Fraction]]]:
-    """Does S T S == T S T? True for b = 2, false for b > 2; on failure the
-    witness is (row, col, lhs, rhs) of the first row-major mismatch."""
+def braid_products(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[Matrix, Matrix]:
+    """(S T S, T S T) for S = s_int(b, depth) and T = t_matrix(b, depth)."""
     s = s_int(b, depth, cap)
     t = t_matrix(b, depth, cap)
-    mismatch = (s * t * s).first_mismatch(t * s * t)
+    return s * t * s, t * s * t
+
+
+def braid_check(
+    b: int,
+    depth: int,
+    cap: int = DEFAULT_CAP,
+    products: Optional[tuple[Matrix, Matrix]] = None,
+) -> tuple[bool, Optional[tuple[int, int, Fraction, Fraction]]]:
+    """Does S T S == T S T? True for b = 2, false for b > 2; on failure the
+    witness is (row, col, lhs, rhs) of the first row-major mismatch.
+    products is braid_products(b, depth, cap), built here when not given."""
+    sts, tst = products or braid_products(b, depth, cap)
+    mismatch = sts.first_mismatch(tst)
     return mismatch is None, mismatch
 
 
-def square_relation_check(depth: int, cap: int = DEFAULT_CAP) -> bool:
-    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly."""
-    s = s_int(2, depth, cap)
-    t = t_matrix(2, depth, cap)
-    target = Matrix.identity(s.nrows, one=-1 if depth % 2 else 1)
-    q, r = s * t * s, t * s * t
+def square_relation_check(
+    depth: int, cap: int = DEFAULT_CAP, products: Optional[tuple[Matrix, Matrix]] = None
+) -> bool:
+    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly.
+    products is braid_products(2, depth, cap), built here when not given."""
+    q, r = products or braid_products(2, depth, cap)
+    target = Matrix.identity(q.nrows, one=-1 if depth % 2 else 1)
     return q.power(2) == target and r.power(2) == target
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import repeat
+from math import comb, factorial, lcm
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .digits import _padded_digits, dominated_set, dominates, multiplicity, to_digits
@@ -252,7 +254,7 @@ def matrix_exp_nilpotent(x_mat: Matrix, nilpotency_bound: Optional[int] = None) 
     term = result
     for n in range(1, bound + 1):
         term = term * x_mat * Fraction(1, n)
-        if all(e == 0 for row in term.rows for e in row):
+        if not any(map(any, term.rows)):
             break
         result = result + term
     return result
@@ -282,28 +284,51 @@ def s_chain(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> Kroneck
     return KroneckerChain(_s_base_at(b, x0), depth)
 
 
+def _over_common_denominator(entries: Sequence, what: str) -> tuple[list[int], int]:
+    """(numerators over d, d) for int or Fraction entries, d the lcm of
+    their denominators. Anything else is refused, so nothing is rounded."""
+    for e in entries:
+        if not isinstance(e, (int, Fraction)):
+            raise TypeError(
+                f"structured_apply needs int or Fraction {what} entries, got {type(e).__name__}"
+            )
+    d = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (d // e.denominator) for e in entries], d
+
+
 def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:
     """Multiply the chain's Kronecker power into vec, factor by factor.
 
     Each round applies the factor along one digit position of the index and
     rotates that position out; depth rounds restore the original layout.
-    Cost is O(depth * b * dim) coefficient operations instead of O(dim^2).
+    Denominators are cleared once (da for the factor, dv for vec), the
+    rounds run on Python ints over the factor's nonzero entries only
+    (b(b+1)/2 of them for a lower-triangular seed), and each entry is
+    divided once by da^depth * dv at the end: O(depth * nnz * b^(depth-1))
+    integer operations in all. Entries must be int or Fraction (TypeError
+    otherwise); the result is a list of Fractions.
     """
     b = chain.base_factor.nrows
     if len(vec) != chain.dim:
         raise ValueError(
             f"vector length {len(vec)} does not match dimension {chain.dim}"
         )
-    a = chain.base_factor.rows
-    v = list(vec)
+    flat, da = _over_common_denominator(
+        [e for row in chain.base_factor.rows for e in row], "factor"
+    )
+    v, dv = _over_common_denominator(vec, "vector")
+    # each factor row as (t, integer entry) pairs over its nonzeros
+    rows = [[(t, c) for t, c in enumerate(flat[i * b : (i + 1) * b]) if c] for i in range(b)]
     m = chain.dim // b
     for _ in range(chain.depth):
-        out = [None] * len(v)
-        for j in range(m):
-            col = [v[t * m + j] for t in range(b)]
-            base = j * b
-            for i in range(b):
-                arow = a[i]
-                out[base + i] = sum(arow[t] * col[t] for t in range(b))
+        # out[j*b + i] = sum_t a[i][t] * v[t*m + j]: block t of v is v[t*m : (t+1)*m]
+        blocks = [v[t * m : (t + 1) * m] for t in range(b)]
+        out = [0] * len(v)
+        for i, pairs in enumerate(rows):
+            acc = [0] * m
+            for t, c in pairs:
+                acc = list(map(add, acc, map(mul, repeat(c), blocks[t])))
+            out[i::b] = acc
         v = out
-    return v
+    d = da**chain.depth * dv
+    return [Fraction(n, d) for n in v]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import sierpmat
 from sierpmat import cli
 from sierpmat.exactpoly import X, Y
-from sierpmat.ptm import UniPoly, factorization, power_sums, random_zero_sum
+from sierpmat.ptm import UniPoly, braid_products, factorization, power_sums, random_zero_sum
 from sierpmat.sierpinski import digital_binomial_sides, multiplicity_identity_sides
 
 
@@ -199,6 +199,20 @@ def test_verify_relations_b2(capsys):
     names = [c["name"] for c in report["checks"]]
     assert names == ["power-relation", "eigen-annihilation", "braid", "square-relation"]
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_verify_relations_b2_forms_braid_products_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return braid_products(*args)
+
+    monkeypatch.setattr(cli, "braid_products", counted)
+    code, out, _ = run(capsys, "verify", "relations", "--base", "2", "--depth", "3")
+    assert code == 0
+    assert calls == [(2, 3, cli.DEFAULT_CAP)]
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
 
 
 def test_verify_all_b2(capsys):

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sierpmat.exactpoly import ONE, X, Y, Polynomial
+from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial
 from sierpmat.matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 
 
@@ -184,3 +187,88 @@ def test_checked_dim():
         checked_dim(1, 2)
     with pytest.raises(ValueError):
         checked_dim(2, 0)
+
+
+# --- zero-skipping product and matvec against a dense triple loop ---
+
+_KINDS = ("int", "fraction", "poly")
+
+
+def _random_entry(kind, rng):
+    if kind == "int":
+        return rng.randint(-5, 5) or 1
+    c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7))
+    if kind == "fraction":
+        return c
+    return Polynomial({(rng.randint(0, 2), rng.randint(0, 1)): c, (0, 0): rng.randint(-2, 2)})
+
+
+def _random_sparse(kind, nrows, ncols, rng):
+    """A kind-homogeneous matrix with a random share (0-90%) of zeros, and
+    sometimes an all-zero row and an all-zero column."""
+    zero = {"int": 0, "fraction": Fraction(0), "poly": ZERO}[kind]
+    share = rng.randint(0, 9) / 10
+    zero_row = rng.choice([None, rng.randrange(nrows)])
+    zero_col = rng.choice([None, rng.randrange(ncols)])
+    return [
+        [
+            zero if i == zero_row or j == zero_col or rng.random() < share else _random_entry(kind, rng)
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+
+
+def _dense_product(a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            total = 0
+            for k, entry in enumerate(row):
+                total = total + entry * b[k][j]
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 10**6),
+)
+def test_product_and_matvec_match_dense_triple_loop(kinds, shape, seed):
+    rng = Random(seed)
+    (ka, kb, kv), (n, inner, m) = kinds, shape
+    a = _random_sparse(ka, n, inner, rng)
+    b = _random_sparse(kb, inner, m, rng)
+    v = _random_sparse(kv, inner, 1, rng)
+    v = [row[0] for row in v]
+    got = (Matrix(a) * Matrix(b)).rows
+    want = _dense_product(a, b)
+    assert [list(r) for r in got] == want
+    # every entry, those no nonzero product reaches included, keeps the
+    # type the dense sum gives it
+    assert [[type(e) for e in r] for r in got] == [[type(e) for e in r] for r in want]
+    want_v = [row[0] for row in _dense_product(a, [[e] for e in v])]
+    got_v = Matrix(a).matvec(v)
+    assert got_v == want_v
+    assert [type(e) for e in got_v] == [type(e) for e in want_v]
+
+
+def test_product_zeros_keep_entry_type():
+    a = Matrix([[X, ZERO], [ZERO, ZERO]])  # all-zero second row
+    b = Matrix([[ONE, X], [X, ONE]])
+    prod = a * b
+    assert prod.rows[1] == (ZERO, ZERO)
+    assert all(isinstance(e, Polynomial) for row in prod.rows for e in row)
+    assert prod.rows[1][0].terms == {}
+    half = Matrix([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(0)]])
+    frac = half * half
+    assert frac == Matrix([[Fraction(1, 4), 0], [0, 0]])
+    assert all(type(e) is Fraction for row in frac.rows for e in row)
+    assert all(type(e) is Fraction for e in half.matvec([1, 1]))
+    ints = Matrix([[0, 0], [0, 3]]) * Matrix([[0, 1], [0, 0]])
+    assert ints == Matrix([[0, 0], [0, 0]])
+    assert all(type(e) is int for row in ints.rows for e in row)

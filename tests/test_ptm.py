@@ -10,6 +10,7 @@ from sierpmat.ptm import (
     ZeroSumVector,
     base3_corollary_check,
     braid_check,
+    braid_products,
     coefficients_by_formula,
     coefficients_by_matrix,
     eigen_poly_annihilation_check,
@@ -343,6 +344,24 @@ def test_q_and_r_squares_b2():
         assert q.power(2) == target
         assert r.power(2) == target
         assert square_relation_check(depth)
+
+
+def test_checks_share_braid_products():
+    for b, depth in ((2, 1), (2, 3), (3, 2)):
+        products = braid_products(b, depth)
+        s, t = s_int(b, depth), t_matrix(b, depth)
+        assert products == (s * t * s, t * s * t)
+        assert braid_check(b, depth, products=products) == braid_check(b, depth)
+    for depth in (1, 2, 3):
+        products = braid_products(2, depth)
+        assert square_relation_check(depth, products=products)
+        # the given products are the ones checked: S T S in place of T S T
+        # keeps it true, S itself in either place makes it false
+        sts, _ = products
+        assert square_relation_check(depth, products=(sts, sts))
+        s = s_int(2, depth)
+        assert not square_relation_check(depth, products=(s, sts))
+        assert not square_relation_check(depth, products=(sts, s))
 
 
 def test_random_zero_sum_is_zero_sum_and_seeded():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sierpmat.digits import digit_sum, dominates
+from sierpmat.digits import digit_sum, dominated_set, dominates
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising
 from sierpmat.matrix import Matrix
 from sierpmat.sierpinski import (
@@ -408,6 +408,57 @@ def test_structured_apply_matches_dense_random():
                 for _ in range(b**depth)
             ]
             assert structured_apply(chain, v) == dense.matvec(v)
+
+
+_PRIMES = (10**9 + 7, 998244353, 2**61 - 1, 10**9 + 9, 1000003, 7919, 65537, 2**31 - 1)
+
+
+def _dominance_apply(b, depth, x0, v):
+    """S(x0) v from closed-form entries over the dominated indices only."""
+    return [
+        sum((s_entry(b, depth, j, k).eval(x0) * v[k] for k in dominated_set(j, b)), Fraction(0))
+        for j in range(b**depth)
+    ]
+
+
+@pytest.mark.parametrize(
+    "b, depth, x0, v",
+    [
+        # int-only vector
+        (2, 4, Fraction(1), [(-1) ** j * j for j in range(16)]),
+        (3, 2, Fraction(5, 2), [3, -7, 0, 2, 9, -1, 4, 4, -8]),
+        # the zero vector
+        (3, 3, Fraction(2, 3), [0] * 27),
+        # large coprime denominators, in the vector and in x0
+        (2, 3, Fraction(7, 10**12 + 39), [Fraction(j + 1, p) for j, p in enumerate(_PRIMES)]),
+        # negative x0
+        (4, 2, Fraction(-5, 3), [Fraction(j - 7, j % 5 + 1) for j in range(16)]),
+        (2, 3, Fraction(-2), [Fraction(1, j + 1) for j in range(8)]),
+        # depth 1
+        (5, 1, Fraction(3, 7), [Fraction(2), -1, Fraction(-4, 9), 0, 6]),
+    ],
+)
+def test_structured_apply_exact_cases(b, depth, x0, v):
+    got = structured_apply(s_chain(b, depth, x0), v)
+    assert got == s_numeric(b, depth, x0).matvec(v)
+    assert got == _dominance_apply(b, depth, x0, v)
+    assert all(type(e) is Fraction for e in got)
+
+
+@pytest.mark.parametrize("bad", [0.5, X, Polynomial.constant(1)])
+def test_structured_apply_refuses_non_rational_vector(bad):
+    v = [1, Fraction(1, 2), 3, 4]
+    v[2] = bad
+    with pytest.raises(TypeError) as info:
+        structured_apply(s_chain(2, 2, 1), v)
+    assert "\n" not in str(info.value)
+    assert "int or Fraction" in str(info.value)
+
+
+def test_structured_apply_refuses_non_rational_factor():
+    for factor in (s_base(2), Matrix([[1.0, 0], [1, 1]])):
+        with pytest.raises(TypeError, match="int or Fraction factor entries"):
+            structured_apply(KroneckerChain(factor, 2), [1, 2, 3, 4])
 
 
 def test_structured_apply_length_check():
