@@ -65,12 +65,12 @@ class Polynomial:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return Polynomial._raw(terms)
+        return type(self)._raw(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw({key: -c for key, c in self._terms.items()})
+        return type(self)._raw({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -89,7 +89,7 @@ class Polynomial:
         if other is None:
             return NotImplemented
         if not self._terms or not other._terms:
-            return Polynomial._raw({})
+            return type(self)._raw({})
         out: dict[tuple[int, int], Fraction] = {}
         for (ax, ay), ac in self._terms.items():
             for (bx, by), bc in other._terms.items():
@@ -99,7 +99,7 @@ class Polynomial:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return Polynomial._raw(out)
+        return type(self)._raw(out)
 
     __rmul__ = __mul__
 

@@ -1,12 +1,12 @@
 """Thue-Morse coefficient polynomials and the matrix algebra behind them.
 
 A zero-sum coefficient tuple A feeds a polynomial F whose n-th coefficient is
-A[digit_sum(n) mod b]. F factors as P * prod_{m<N} (1 - x^(b^m)); the
-coefficients of P come either from dominated-digit sums or from the integer
-Sierpinski matrix, and the two routes are kept separate so they can be
-checked against each other. Also here: the bidiagonal factor matrix M, the
-generator pair products U = S T^t and V = T^t S, their power relations, and
-equal-power-sum partitions of {0, ..., b^(M+1) - 1}.
+A[digit_sum(n) mod b]. F factors as P * prod_{m<N} (1 - x^(b^m)), each a
+UniPoly (a Polynomial in x with a coefficient-list view). P's coefficients
+come from dominated-digit sums or from the integer Sierpinski matrix, two
+routes kept apart to be checked against each other. Also here: the bidiagonal
+factor matrix M, the generator pair products U = S T^t and V = T^t S, their
+power relations, and equal-power-sum partitions of {0, ..., b^(M+1) - 1}.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .digits import dominated_set, parity_w, ptm, to_digits
+from .exactpoly import Polynomial
 from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 
 __all__ = [
@@ -67,77 +68,41 @@ class ZeroSumVector:
         object.__setattr__(self, "entries", entries)
 
 
-class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients."""
+class UniPoly(Polynomial):
+    """A Polynomial in x alone, built from and read as ascending Fraction
+    coefficients. +, - and * keep the left operand's class; equality is by
+    terms, so UniPoly([0, 1]) == X and UniPoly([5]) == 5."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__({(i, 0): c for i, c in enumerate(coeffs)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
+    # bench/tracing.py reads this entry of the class's own __dict__ to time
+    # ptm.UniPoly.mul; without it, a --trace 1 run raises KeyError
+    __mul__ = Polynomial.__mul__
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        """Highest power of x; -1 for the zero polynomial."""
+        return max((i for i, _ in self._terms), default=-1)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        longer, shorter = self.coeffs, other.coeffs
-        if len(longer) < len(shorter):
-            longer, shorter = shorter, longer
-        out = list(longer)
-        for i, c in enumerate(shorter):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
-
-    def __mul__(self, other: UniPoly) -> UniPoly:
-        if not self.coeffs or not other.coeffs:
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Dense ascending coefficients, without trailing zeros."""
+        out = [Fraction(0)] * (self.degree + 1)
+        for (i, _), c in self._terms.items():
+            out[i] = c
+        return tuple(out)
 
     def derivative(self) -> UniPoly:
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, x0) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        return type(self)._raw({(i - 1, j): i * c for (i, j), c in self._terms.items() if i})
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._terms:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for (i, _), c in sorted(self._terms.items()):
             if i == 0:
                 parts.append(str(c))
             elif i == 1:
@@ -194,13 +159,8 @@ def coefficients_by_formula(
     b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP
 ) -> list[Fraction]:
     """c_n as the sum of A[u(k)] over all k whose digits sit below n's."""
-    if a.base != b:
-        raise ValueError(f"vector has base {a.base}, expected {b}")
-    dim = checked_dim(b, depth, cap)
-    return [
-        sum((a.entries[ptm(k, b)] for k in dominated_set(n, b)), Fraction(0))
-        for n in range(dim)
-    ]
+    f = f_vector(b, depth, a, cap)
+    return [sum((f[k] for k in dominated_set(n, b)), Fraction(0)) for n in range(len(f))]
 
 
 def coefficients_by_matrix(

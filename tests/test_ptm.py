@@ -2,8 +2,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sierpmat.digits import digit_sum, dominates, to_digits
+from sierpmat.exactpoly import X
 from sierpmat.matrix import Matrix
 from sierpmat.ptm import (
     UniPoly,
@@ -88,6 +91,72 @@ def test_unipoly_derivative_and_eval():
 def test_unipoly_str():
     assert str(UniPoly([])) == "0"
     assert str(UniPoly([1, -2, 1])) == "1 - 2*x + x^2"
+
+
+def test_unipoly_str_signs_and_fractions():
+    assert str(UniPoly([Fraction(1, 2), -1, 0, -3])) == "1/2 - 1*x - 3*x^3"
+    assert str(UniPoly([0, 0, Fraction(-2, 3)])) == "-2/3*x^2"
+    assert str(UniPoly([-1])) == "-1"
+
+
+def test_unipoly_is_a_polynomial_in_x():
+    assert UniPoly([0, 1]) == X
+    assert UniPoly([5]) == 5
+    # bench/tracing.py times UniPoly products by patching __mul__ in the
+    # class's own __dict__
+    assert "__mul__" in vars(UniPoly)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _dense_add(p, q):
+    n = max(len(p), len(q))
+    p, q = list(p) + [0] * (n - len(p)), list(q) + [0] * (n - len(q))
+    return _trim(a + b for a, b in zip(p, q))
+
+
+def _dense_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+@st.composite
+def _coeff_lists(draw):
+    """Fraction lists of length 0-12 in which 0-80% of entries are zero."""
+    zero_percent = draw(st.sampled_from([0, 20, 50, 80]))
+    nonzero = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool)
+    return [
+        Fraction(0) if draw(st.integers(0, 99)) < zero_percent else draw(nonzero)
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_coeff_lists(), q=_coeff_lists(), x0=st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_unipoly_matches_dense_reference(p, q, x0):
+    up, uq = UniPoly(p), UniPoly(q)
+    assert up.coeffs == _trim(p) and up.degree == len(_trim(p)) - 1
+    neg_q = [-c for c in q]
+    results = [
+        (up * uq, _dense_mul(p, q)),
+        (up + uq, _dense_add(p, q)),
+        (up - uq, _dense_add(p, neg_q)),
+        (-uq, _trim(neg_q)),
+        (up.derivative(), _trim([i * c for i, c in enumerate(p)][1:])),
+    ]
+    for got, want in results:
+        assert isinstance(got, UniPoly)
+        assert got.coeffs == want
+        assert all(isinstance(c, Fraction) for c in got.coeffs)
+    assert up.eval(x0) == sum((c * x0**i for i, c in enumerate(p)), Fraction(0))
 
 
 # -- M, S and their inverse relation ----------------------------------------
