@@ -8,7 +8,7 @@ zero coefficients), so structural equality is semantic equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from operator import itemgetter
 
 Rational = Fraction
 
@@ -122,20 +122,23 @@ class Polynomial:
 
     def __hash__(self):
         if not self._terms:
-            return hash(Fraction(0))
+            return 0  # hash(0) == hash(Fraction(0)), without building one
         if len(self._terms) == 1 and (0, 0) in self._terms:
             # constants hash like their scalar value
             return hash(self._terms[(0, 0)])
         return hash(frozenset(self._terms.items()))
 
     def eval(self, x0, y0=0) -> Fraction:
-        """Exact evaluation at a rational point; a ring homomorphism."""
+        """Exact evaluation at a rational point; a ring homomorphism.
+
+        Sparse Horner: one step per term in x within each power of y, then
+        one step per power of y, so x^1000 + 1 costs two steps, not 1000.
+        """
         x0 = Fraction(x0)
-        y0 = Fraction(y0)
-        total = Fraction(0)
+        rows: dict[int, list[tuple[int, Fraction]]] = {}
         for (ex, ey), c in self._terms.items():
-            total += c * x0**ex * y0**ey
-        return total
+            rows.setdefault(ey, []).append((ex, c))
+        return _horner([(ey, _horner(row, x0)) for ey, row in rows.items()], Fraction(y0))
 
     def compose(self, px=None, py=None) -> Polynomial:
         """Substitute polynomials (or scalars) for x and y."""
@@ -181,6 +184,21 @@ class Polynomial:
         return str(self)
 
 
+def _horner(pairs: list[tuple[int, Fraction]], t: Fraction) -> Fraction:
+    """sum of c * t**e over (e, c) pairs with distinct e: acc = acc * t**gap + c
+    down the exponents in descending order."""
+    if not pairs:
+        return Fraction(0)
+    pairs.sort(key=itemgetter(0), reverse=True)
+    top = pairs[0][0]
+    acc = Fraction(0)
+    for e, c in pairs:
+        gap = top - e
+        acc = (acc * t if gap == 1 else acc * t**gap) + c
+        top = e
+    return acc * t**top if top else acc
+
+
 def _as_poly(value):
     if isinstance(value, Polynomial):
         return value
@@ -202,16 +220,26 @@ X = Polynomial({(1, 0): 1})
 Y = Polynomial({(0, 1): 1})
 
 
+def rising_table(top: int, arg) -> list[Polynomial]:
+    """[binom_rising(d, arg) for d in 0..top], one product per entry by
+    t[d+1] = t[d] * (arg + d) / (d + 1).
+
+    >>> [str(p) for p in rising_table(2, X)]
+    ['1', 'x', '(1/2)*x^2 + (1/2)*x']
+    """
+    if top < 0:
+        raise ValueError(f"rising-factorial index must be non-negative, got {top}")
+    arg = _as_poly_strict(arg)
+    table = [ONE]
+    for d in range(top):
+        table.append(table[d] * ((arg + d) * Fraction(1, d + 1)))
+    return table
+
+
 def binom_rising(d: int, arg) -> Polynomial:
     """Rising-factorial binomial: arg * (arg+1) * ... * (arg+d-1) / d!.
 
     For integer arg = m >= 1 this is the ordinary binomial C(m+d-1, d);
     binom_rising(0, anything) is 1.
     """
-    if d < 0:
-        raise ValueError(f"d must be non-negative, got {d}")
-    arg = _as_poly_strict(arg)
-    acc = ONE
-    for i in range(d):
-        acc = acc * (arg + i)
-    return acc * Fraction(1, factorial(d))
+    return rising_table(d, arg)[d]

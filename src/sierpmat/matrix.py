@@ -1,5 +1,5 @@
-"""Dense exact matrices over any ring whose elements supply +, *, == and
-truth (an entry is zero exactly when it is falsy).
+"""Dense exact matrices over any ring whose elements supply +, *, ==, hash
+and truth (an entry is zero exactly when it is falsy).
 
 Entries may be ints, Fractions, or Polynomials (mixed freely, since those
 types coerce each other); nothing here ever rounds. Storage is dense, but
@@ -7,6 +7,8 @@ the product and matvec do work only on nonzero entries: A * B forms one
 entry product per pair (A[i][k], B[k][j]) with both factors nonzero, and
 A.matvec(v) one per nonzero A[i][k]. Every family in this package is
 supported on the digit-dominance pattern, so nearly all entries are zero.
+A.map(fn) calls fn once per distinct entry, which is why entries must be
+hashable: S(x) at base 2, depth 6 has 4096 entries but 8 distinct values.
 """
 
 from __future__ import annotations
@@ -180,7 +182,27 @@ class Matrix:
         )
 
     def map(self, fn: Callable) -> Matrix:
-        return Matrix([[fn(e) for e in row] for row in self.rows])
+        """Apply fn entrywise, calling it once per distinct (type, value):
+        0, Fraction(0) and the zero Polynomial are equal but print apart,
+        so each keeps its own result.
+
+        >>> calls = []
+        >>> Matrix([[2, 0], [2, 0]]).map(lambda e: calls.append(e) or e + 1).rows
+        ((3, 1), (3, 1))
+        >>> calls
+        [2, 0]
+        """
+        memo = {}
+
+        def once(e):
+            key = (type(e), e)
+            try:
+                return memo[key]
+            except KeyError:
+                result = memo[key] = fn(e)
+                return result
+
+        return Matrix([[once(e) for e in row] for row in self.rows])
 
     def matvec(self, vec: Sequence) -> list:
         if len(vec) != self.ncols:

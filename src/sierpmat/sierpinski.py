@@ -17,7 +17,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .digits import _padded_digits, dominated_set, dominates, multiplicity, to_digits
-from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising
+from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, rising_table
 from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 
 __all__ = [
@@ -46,12 +46,8 @@ def s_base(b: int) -> Matrix:
     """b x b lower-triangular seed: entry (j,k) = binom_rising(j-k, x)."""
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    return Matrix(
-        [
-            [binom_rising(j - k, X) if j >= k else ZERO for k in range(b)]
-            for j in range(b)
-        ]
-    )
+    table = rising_table(b - 1, X)
+    return Matrix([[table[j - k] if j >= k else ZERO for k in range(b)] for j in range(b)])
 
 
 def _s_base_at(b: int, x0: Rational) -> Matrix:
@@ -104,16 +100,17 @@ def digital_binomial_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    xy = X + Y
+    digits = to_digits(n, b).digits
+    tx, ty, txy = (rising_table(max(digits), arg) for arg in (X, Y, X + Y))
     lhs = ONE
-    for d in to_digits(n, b).digits:
-        lhs = lhs * binom_rising(d, xy)
+    for d in digits:
+        lhs = lhs * txy[d]
     rhs = ZERO
     for m in dominated_set(n, b):
         dm, dn = _padded_digits(m, n, b)
         term = ONE
         for dmi, dni in zip(dm, dn):
-            term = term * binom_rising(dmi, X) * binom_rising(dni - dmi, Y)
+            term = term * tx[dmi] * ty[dni - dmi]
         rhs = rhs + term
     return lhs, rhs
 
@@ -123,16 +120,17 @@ def multiplicity_identity_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]
     value j with exponent = multiplicity of j. The j = 0 factor is 1."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    xy = X + Y
+    dominated = dominated_set(n, b)  # checks b before the tables are built
+    tx, ty, txy = (rising_table(b - 1, arg) for arg in (X, Y, X + Y))
     lhs = ONE
     for j in range(1, b):
-        lhs = lhs * binom_rising(j, xy) ** multiplicity(n, j, b)
+        lhs = lhs * txy[j] ** multiplicity(n, j, b)
     rhs = ZERO
-    for m in dominated_set(n, b):
+    for m in dominated:
         term = ONE
         for j in range(1, b):
-            term = term * binom_rising(j, X) ** multiplicity(m, j, b)
-            term = term * binom_rising(j, Y) ** multiplicity(n - m, j, b)
+            term = term * tx[j] ** multiplicity(m, j, b)
+            term = term * ty[j] ** multiplicity(n - m, j, b)
         rhs = rhs + term
     return lhs, rhs
 
@@ -145,10 +143,11 @@ def gould_check(
     checked symbolically, or at a rational point when x0/y0 are given."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    # C(x+k, k) is the rising binomial in x+1
+    tx, ty = rising_table(n, X + 1), rising_table(n, Y + 1)
     lhs = ZERO
     for k in range(n + 1):
-        # C(x+k, k) is the rising binomial in x+1
-        lhs = lhs + binom_rising(k, X + 1) * binom_rising(n - k, Y + 1)
+        lhs = lhs + tx[k] * ty[n - k]
     rhs = binom_rising(n, X + Y + 2)
     if x0 is None and y0 is None:
         return lhs == rhs
@@ -162,9 +161,10 @@ def shifted_gould_check(p: int, q: int) -> bool:
     sum_{v=q}^{p} C(x+p-v-1, p-v) C(y+v-q-1, v-q) == C(x+y+p-q-1, p-q)."""
     if not 1 <= q <= p:
         raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
+    tx, ty = rising_table(p - q, X), rising_table(p - q, Y)
     lhs = ZERO
     for v in range(q, p + 1):
-        lhs = lhs + binom_rising(p - v, X) * binom_rising(v - q, Y)
+        lhs = lhs + tx[p - v] * ty[v - q]
     rhs = binom_rising(p - q, X + Y)
     return lhs == rhs
 

@@ -1,0 +1,54 @@
+"""CLI output pinned by digest: each argv maps to (exit code, sha256 of stdout).
+
+The digests were recorded from the code before the symbolic path began to
+compute each distinct entry once, so a change that alters any printed byte
+of these runs fails here. To re-pin after an intended output change, print
+the new digests with `_run` and review the output diff first.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from sierpmat import cli
+
+GOLDEN = [
+    ("verify one-parameter --base 2 --depth 6", 0, "744e894a31712894ae431f1a0ae02150a4740153c578e4393551a29cf3d9154e"),
+    ("verify one-parameter --base 3 --depth 4", 0, "d0cd050df54998f9b1ee4b3fb2bc377f927c01ef2b382d9cc8a478eec92ade57"),
+    ("verify exp --base 2 --depth 6", 0, "7d72b5b28f236bf7ba5df95072709e56633951faed223b36093217aea563a7d3"),
+    ("verify digital-binomial --base 3 --depth 4", 0, "51fb37230971525fab075324d9b4d103ef8fd16e8f7710ee2e59f08f1ea16e8b"),
+    ("verify digital-binomial --base 16 --depth 1", 0, "d84d4bc863e13eff4b0beefddeb5dc2db96ee1023756b11521fcf387ae34b298"),
+    ("verify all --base 2 --depth 5", 0, "91f11343f2e18c352b655f33acb22e3dd6712513ea8f165c0bf90c891727f953"),
+    ("verify all --base 3 --depth 3", 0, "6283f991773ecbe8a20cb2371fe9b81bdc0a34e80dbd370f0e4cd71221641d15"),
+    ("verify factorization --base 2 --depth 6 --seed 1", 0, "c6d2e70a29729c18f064578ee3a6f2c46d7bd0350dc4a4cbc8d1a114d13ec271"),
+    ("verify stirling --base 4 --depth 2 --format text", 0, "2b7a910d686260e47f84a113b1810e7c7d95d1dd146fb0fd7e1864e86d1e742b"),
+    ("matrix S --base 2 --depth 4", 0, "2d0a15e32ea830c175f09ccd170c98ff0848bfe3fcfd5988a9fba4d69f294043"),
+    ("matrix X --base 2 --depth 4", 0, "fd41a986bb9539ddf73265f36f19420bf9ce747ecabc8acb32a6ff0528c6d7fc"),
+    ("matrix U --base 2 --depth 4", 0, "58e2b27876010c135d69a0be88b37b92cd55b47331aaf20bd83837d187695b86"),
+    ("matrix X --base 3 --depth 3 --eval 5/2", 0, "f75527b0c6d6f998965c1f1e931cf7f4779c4090e12123e31a28fec7549645ec"),
+    ("matrix S --base 3 --depth 3 --eval 7/4 --format csv", 0, "d61b2c98fafd06a627107748e547f6343c2a4c86b7e5b3ea3ef33b351dfe6755"),
+    ("matrix S --base 2 --depth 3 --format text", 0, "a265d4d90256ffe05e478fac0e33dfc323bfdc3911e90641e86e4a4723527fff"),
+    ("ptm --base 3 --depth 2 --zero-sum=1,1/2,-3/2 --format text", 0, "fd28193b5082d9016a9fdab7c7c205f13ee47ab320d4363ec81b81cd9924c8bc"),
+    ("ptm --base 2 --depth 5 --zero-sum=2/3,-2/3", 0, "643addc00914132836f9ff5a2314c50bd8d0e07d23d9e19b145bbaff1830493e"),
+    ("verify digital-binomial --base 2 --depth 8", 0, "51415de036895d87fd57ecd1c1e8f953a8edb322a5f63710e0856758b4b3d0fc"),
+    ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("matrix Q --base 2 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:  # argparse refuses argv by exiting
+            code = exc.code
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_bytes_pinned(argv, code, digest):
+    assert _run(argv) == (code, digest)

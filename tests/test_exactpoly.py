@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising
+from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising, rising_table
+from sierpmat.ptm import UniPoly
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -107,3 +108,75 @@ def test_rendering():
 def test_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Polynomial({(-1, 0): 1})
+
+
+# --- sparse Horner eval against a per-term reference ---
+
+sparse_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 40), st.integers(0, 6)), rationals, max_size=8
+).map(Polynomial)
+
+uni_polynomials = st.lists(
+    st.one_of(st.just(Fraction(0)), rationals), max_size=14
+).map(UniPoly)
+
+
+def _per_term_eval(p, x0, y0):
+    x0, y0 = Fraction(x0), Fraction(y0)
+    return sum((c * x0**ex * y0**ey for (ex, ey), c in p.terms.items()), Fraction(0))
+
+
+@given(
+    p=st.one_of(sparse_polynomials, uni_polynomials, st.just(ZERO)),
+    x0=st.one_of(rationals, st.sampled_from([0, 1, -1, Fraction(-1, 2), Fraction(7, 3)])),
+    y0=st.one_of(rationals, st.sampled_from([0, 1, -2, Fraction(-3, 4)])),
+)
+@settings(max_examples=300, deadline=None)
+def test_eval_matches_per_term_sum(p, x0, y0):
+    got = p.eval(x0, y0)
+    assert got == _per_term_eval(p, x0, y0)
+    assert type(got) is Fraction
+
+
+def test_eval_sparse_high_degree():
+    p = X**1000 + 1
+    assert p.eval(2) == 2**1000 + 1
+    assert p.eval(Fraction(-1, 3)) == Fraction(-1, 3) ** 1000 + 1
+    q = 5 * X**7 * Y**300 - Y + 2 * X**3
+    assert q.eval(Fraction(1, 2), -1) == _per_term_eval(q, Fraction(1, 2), -1)
+    assert q.eval(0, 0) == 0 and (q + 3).eval(0, 0) == 3
+    assert type(ZERO.eval(1)) is Fraction and UniPoly([]).eval(2) == 0
+
+
+def test_zero_hashes_like_scalar_zero():
+    assert hash(ZERO) == hash(0) == hash(Fraction(0)) == 0
+    assert hash(UniPoly([])) == 0
+    assert hash(Polynomial.constant(Fraction(3, 4))) == hash(Fraction(3, 4))
+
+
+# --- one rising-factorial table against the per-d product ---
+
+
+def _rising_product(d, arg):
+    acc = ONE
+    for i in range(d):
+        acc = acc * (arg + i)
+    return acc * Fraction(1, factorial(d))
+
+
+@pytest.mark.parametrize("arg", [X, Y, X + Y, X + 1, 3, Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize("top", range(9))
+def test_rising_table_matches_binom_rising(arg, top):
+    table = rising_table(top, arg)
+    assert table == [binom_rising(d, arg) for d in range(top + 1)]
+    assert table == [_rising_product(d, arg) for d in range(top + 1)]
+    assert all(type(p) is Polynomial for p in table)
+
+
+def test_rising_table_rejects_negative_top():
+    with pytest.raises(ValueError, match="non-negative"):
+        rising_table(-1, X)
+    with pytest.raises(ValueError, match="non-negative"):
+        binom_rising(-1, X)
+    with pytest.raises(TypeError):
+        rising_table(2, "x")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial
 from sierpmat.matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
+from sierpmat.ptm import UniPoly
 
 
 def test_construction_and_shape():
@@ -272,3 +273,46 @@ def test_product_zeros_keep_entry_type():
     ints = Matrix([[0, 0], [0, 3]]) * Matrix([[0, 1], [0, 0]])
     assert ints == Matrix([[0, 0], [0, 0]])
     assert all(type(e) is int for row in ints.rows for e in row)
+
+
+# --- map: one call per distinct (type, value) ---
+
+# equal across types but printed apart (0, Fraction(0), ZERO, UniPoly([])),
+# equal within a type (Fraction(2, 4) and Fraction(1, 2)), and plain nonzeros
+_MAP_POOL = (
+    0, Fraction(0), ZERO, UniPoly([]), 1, Fraction(1), ONE, UniPoly([1]),
+    X, UniPoly([0, 1]), Fraction(1, 2), Fraction(2, 4), Y + 1, X * Y - 3, 7,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(_MAP_POOL) - 1), min_size=1, max_size=36),
+    width=st.integers(1, 6),
+)
+def test_map_calls_fn_once_per_distinct_entry(picks, width):
+    picks += [0] * (-len(picks) % width)
+    entries = [_MAP_POOL[i] for i in picks]
+    rows = [entries[i : i + width] for i in range(0, len(entries), width)]
+    calls = []
+
+    def fn(e):
+        calls.append((type(e), e))
+        return e * 2 + 1
+
+    got = Matrix(rows).map(fn).rows
+    want = [[e * 2 + 1 for e in row] for row in rows]
+    assert [list(r) for r in got] == want
+    assert [[type(e) for e in r] for r in got] == [[type(e) for e in r] for r in want]
+    assert [[str(e) for e in r] for r in got] == [[str(e) for e in r] for r in want]
+    assert len(calls) == len(set(calls)) == len({(type(e), e) for e in entries})
+
+
+def test_map_keeps_zero_types_apart():
+    m = Matrix([[0, Fraction(0)], [ZERO, UniPoly([])]])
+    assert [[type(e) for e in r] for r in m.map(lambda e: e).rows] == [
+        [int, Fraction],
+        [Polynomial, UniPoly],
+    ]
+    assert [str(e) for r in m.map(lambda e: e + 1).rows for e in r] == ["1", "1", "1", "1"]
+    assert [type(e) for e in (m * Fraction(1, 2)).rows[0]] == [Fraction, Fraction]

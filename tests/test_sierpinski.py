@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sierpmat.digits import digit_sum, dominated_set, dominates
+from sierpmat.digits import digit_sum, dominated_set, dominates, multiplicity, to_digits
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising
 from sierpmat.matrix import Matrix
 from sierpmat.sierpinski import (
@@ -204,6 +204,56 @@ def test_multiplicity_identity():
         lhs, rhs = multiplicity_identity_sides(n, 2)
         tlhs, trhs = digital_binomial_sides(n, 2)
         assert lhs == rhs == tlhs == trhs
+
+
+def _digital_binomial_reference(n, b):
+    """Both sides with one binom_rising call per digit of every term."""
+    lhs = ONE
+    for d in to_digits(n, b).digits:
+        lhs = lhs * binom_rising(d, X + Y)
+    rhs = ZERO
+    width = len(to_digits(n, b).digits)
+    for m in dominated_set(n, b):
+        dm = to_digits(m, b).digits + (0,) * width
+        term = ONE
+        for dmi, dni in zip(dm, to_digits(n, b).digits):
+            term = term * binom_rising(dmi, X) * binom_rising(dni - dmi, Y)
+        rhs = rhs + term
+    return lhs, rhs
+
+
+def _multiplicity_reference(n, b):
+    lhs, rhs = ONE, ZERO
+    for j in range(1, b):
+        lhs = lhs * binom_rising(j, X + Y) ** multiplicity(n, j, b)
+    for m in dominated_set(n, b):
+        term = ONE
+        for j in range(1, b):
+            term = term * binom_rising(j, X) ** multiplicity(m, j, b)
+            term = term * binom_rising(j, Y) ** multiplicity(n - m, j, b)
+        rhs = rhs + term
+    return lhs, rhs
+
+
+_SIDES_CASES = [(n, 2) for n in range(9)] + [(n, 3) for n in range(27)] + [
+    (n, 16) for n in (0, 1, 9, 15, 16, 0x3F, 0xF0, 0x102)
+]
+
+
+@pytest.mark.parametrize("n, b", _SIDES_CASES)
+def test_sides_match_per_term_route(n, b):
+    want = _digital_binomial_reference(n, b)
+    assert digital_binomial_sides(n, b) == want
+    assert multiplicity_identity_sides(n, b) == _multiplicity_reference(n, b)
+    assert want[0] == want[1]
+
+
+def test_sides_check_base_first():
+    for sides in (digital_binomial_sides, multiplicity_identity_sides):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            sides(3, 1)
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            sides(3, 0)
 
 
 def test_gould_small_and_symbolic():
