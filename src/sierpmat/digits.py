@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 
 def _check_base(b: int) -> None:
@@ -87,11 +86,13 @@ def multiplicity(n: int, j: int, b: int) -> int:
 def dominated_set(n: int, b: int) -> list[int]:
     """All k digitally dominated by n, in increasing numeric order.
 
-    Enumerates the Cartesian product of the per-digit ranges [0, d_i], so the
-    result always has prod(d_i + 1) members.
+    Built one digit at a time from the least significant: every value so
+    far lies below b^i, so placing c = 0..d_i at position i in the outer
+    loop keeps the list sorted. It has prod(d_i + 1) members.
     """
-    expansion = to_digits(n, b)
-    weights = [b**i for i in range(len(expansion.digits))]
-    ranges = [range(d + 1) for d in expansion.digits]
-    values = [sum(w * c for w, c in zip(weights, combo)) for combo in product(*ranges)]
-    return sorted(values)
+    values = [0]
+    weight = 1
+    for d in to_digits(n, b).digits:
+        values = [v + c * weight for c in range(d + 1) for v in values]
+        weight *= b
+    return values

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Optional, Sequence
 
 from .digits import dominated_set, parity_w, ptm, to_digits
 from .exactpoly import Polynomial
 from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
+from .sierpinski import KroneckerChain, structured_apply
 
 __all__ = [
     "ZeroSumVector",
@@ -158,17 +160,23 @@ def f_poly(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> UniP
 def coefficients_by_formula(
     b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP
 ) -> list[Fraction]:
-    """c_n as the sum of A[u(k)] over all k whose digits sit below n's."""
-    f = f_vector(b, depth, a, cap)
-    return [sum((f[k] for k in dominated_set(n, b)), Fraction(0)) for n in range(len(f))]
+    """c_n as the sum of A[u(k)] over all k whose digits sit below n's.
+
+    A's denominators are cleared once by their lcm d, the dominated sums
+    run on Python ints, and each c_n is one Fraction(sum, d)."""
+    d = lcm(*(e.denominator for e in a.entries))
+    f = [e.numerator * (d // e.denominator) for e in f_vector(b, depth, a, cap)]
+    return [Fraction(sum(map(f.__getitem__, dominated_set(n, b))), d) for n in range(len(f))]
 
 
 def coefficients_by_matrix(
     b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP
 ) -> list[Fraction]:
-    """Same vector via the matrix route c = S a; kept separate from the
-    dominated-sum route so the two can be cross-checked."""
-    return s_int(b, depth, cap).matvec(f_vector(b, depth, a, cap))
+    """Same vector via the matrix route c = S a, with S = s_int(b, depth)
+    applied factor by factor as a Kronecker chain, never built densely; kept
+    separate from the dominated-sum route so the two can be cross-checked."""
+    checked_dim(b, depth, cap)
+    return structured_apply(KroneckerChain(_s_int_base(b), depth), f_vector(b, depth, a, cap))
 
 
 def one_minus_power_product(b: int, depth: int) -> UniPoly:

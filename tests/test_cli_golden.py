@@ -1,7 +1,9 @@
 """CLI output pinned by digest: each argv maps to (exit code, sha256 of stdout).
 
 The digests were recorded from the code before the symbolic path began to
-compute each distinct entry once, so a change that alters any printed byte
+compute each distinct entry once; the factorization and ptm runs at
+(3, 4), (3, 6), (2, 9) and (2, 10) were added before the coefficient routes
+moved to integer arithmetic. So a change that alters any printed byte
 of these runs fails here. To re-pin after an intended output change, print
 the new digests with `_run` and review the output diff first.
 """
@@ -33,6 +35,10 @@ GOLDEN = [
     ("ptm --base 3 --depth 2 --zero-sum=1,1/2,-3/2 --format text", 0, "fd28193b5082d9016a9fdab7c7c205f13ee47ab320d4363ec81b81cd9924c8bc"),
     ("ptm --base 2 --depth 5 --zero-sum=2/3,-2/3", 0, "643addc00914132836f9ff5a2314c50bd8d0e07d23d9e19b145bbaff1830493e"),
     ("verify digital-binomial --base 2 --depth 8", 0, "51415de036895d87fd57ecd1c1e8f953a8edb322a5f63710e0856758b4b3d0fc"),
+    ("verify factorization --base 3 --depth 4 --seed 1", 0, "95537fff9f7385491f42cc728c0e00292233712d912edb392288c45b34bd1552"),
+    ("ptm --base 3 --depth 6 --zero-sum=3/4,6/7,-45/28", 0, "6e1a1e0a314f279fb530f5627b4a85017b11a8f2770235f187c00b08898dcfd8"),
+    ("ptm --base 2 --depth 9 --zero-sum=-3/2,3/2", 0, "39c0f1a47419477e08a114d20ae9068dccf177ee03300c4896a96948327ff364"),
+    ("verify factorization --base 2 --depth 10", 0, "dc045a9b7fda89ac34f5c9bb3acad8ea00f48c90a4b324e9c46273c99fbdd5a9"),
     ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matrix Q --base 2 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sierpmat.ptm as ptm_mod
 from sierpmat.digits import digit_sum, dominates, to_digits
 from sierpmat.exactpoly import X
 from sierpmat.matrix import Matrix
@@ -225,14 +226,49 @@ def test_coefficients_small_base3():
 
 
 def test_coefficient_routes_agree():
+    # the dense s_int matvec is the pinned reference for both routes, at
+    # every (b, N) with b^N <= 729 for b = 2..5
     rng = Random(1105)
-    for b in (2, 3, 4):
-        for depth in (1, 2, 3):
-            for _ in range(5):
+    for b in (2, 3, 4, 5):
+        for depth in range(1, 10):
+            if b**depth > 729:
+                break
+            dense = s_int(b, depth)
+            for _ in range(2):
                 a = random_zero_sum(b, rng)
-                assert coefficients_by_formula(b, depth, a) == coefficients_by_matrix(
-                    b, depth, a
-                )
+                expected = dense.matvec(f_vector(b, depth, a))
+                assert coefficients_by_matrix(b, depth, a) == expected, (b, depth)
+                assert coefficients_by_formula(b, depth, a) == expected, (b, depth)
+
+
+@pytest.mark.parametrize("route", [coefficients_by_formula, coefficients_by_matrix])
+def test_coefficient_routes_refuse_past_cap_before_building(route, monkeypatch):
+    def built(*args):
+        raise AssertionError("built something past the cap")
+
+    for name in ("_s_int_base", "KroneckerChain", "dominated_set", "structured_apply"):
+        monkeypatch.setattr(ptm_mod, name, built)
+    a = ZeroSumVector(3, (1, 1, -2))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        route(3, 4, a, cap=80)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        route(3, 10**9, a)
+
+
+def test_coefficient_routes_stay_apart(monkeypatch):
+    a = ZeroSumVector(3, (Fraction(1, 2), Fraction(2, 3), Fraction(-7, 6)))
+    expected = coefficients_by_formula(3, 3, a)
+    calls = []
+    original = ptm_mod.dominated_set
+    monkeypatch.setattr(ptm_mod, "dominated_set", lambda n, b: calls.append(n) or original(n, b))
+    assert coefficients_by_formula(3, 3, a) == expected
+    assert calls == list(range(27))  # one dominated sum per n
+
+    def refused(n, b):
+        raise AssertionError("the matrix route read the dominated set")
+
+    monkeypatch.setattr(ptm_mod, "dominated_set", refused)
+    assert coefficients_by_matrix(3, 3, a) == expected
 
 
 def test_coefficients_vanish_on_top_digit():

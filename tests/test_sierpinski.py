@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from random import Random
 
@@ -293,6 +294,28 @@ def test_stirling_first_values():
         if n >= 1:
             assert stirling_first(n, 0) == 0
         assert sum(stirling_first(n, k) for k in range(n + 1)) == factorial(n)
+
+
+def _cycle_count(perm):
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return cycles
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_stirling_first_counts_permutation_cycles(n):
+    # second route: c(n, k) is the number of permutations of n with k cycles
+    tally = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        tally[_cycle_count(perm)] += 1
+    assert tally == [stirling_first(n, k) for k in range(n + 1)]
 
 
 def test_stirling_first_matches_rising_factorial_coefficients():
