@@ -14,11 +14,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import perm
 from random import Random
 from typing import Optional, Sequence
 
 from .digits import to_digits
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, over_common_denominator
 from .matrix import DEFAULT_CAP, Matrix, checked_dim
 from .ptm import (
     UniPoly,
@@ -85,8 +86,10 @@ def _emit_matrix(kind: str, args, x0: Optional[Fraction], mat: Matrix, symbolic:
 
 
 def cmd_matrix(args) -> int:
-    x0 = None if args.eval is None else Fraction(args.eval)
     kind, b, depth, cap = args.kind, args.base, args.depth, args.cap
+    if args.eval is not None and kind not in ("S", "X"):
+        raise ValueError("--eval applies only to S and X")
+    x0 = None if args.eval is None else Fraction(args.eval)
     symbolic = x0 is None and kind in ("S", "X")
     # refuse before building: a symbolic matrix near the cap takes seconds
     if symbolic and args.format == "csv":
@@ -179,13 +182,6 @@ def _suite_stirling(args) -> list[dict]:
     ]
 
 
-def _derivatives(f, count):
-    """f, f', f'', ...: count polynomials in all."""
-    for _ in range(count):
-        yield f
-        f = f.derivative()
-
-
 def _suite_factorization(args) -> list[dict]:
     b, depth, cap = args.base, args.depth, args.cap
     rng = Random(args.seed)
@@ -205,11 +201,16 @@ def _suite_factorization(args) -> list[dict]:
         if (b - 1) in to_digits(n, b).digits and cn != 0
     )
     factor = ({"vector_index": i} for i, (f, _, product) in enumerate(results) if f != product)
+
+    def nonzero_derivatives(f):
+        # F^(m)(1) = sum_n n(n-1)...(n-m+1) f_n, on F's coefficients cleared to integers
+        nums, _ = over_common_denominator(f.coeffs, "coefficient")
+        return (m for m in range(depth) if sum(perm(n, m) * v for n, v in enumerate(nums)))
+
     order = (
         {"vector_index": i, "derivative": m}
         for i, (f, _, _) in enumerate(results)
-        for m, g in enumerate(_derivatives(f, depth))
-        if g.eval(1) != 0
+        for m in nonzero_derivatives(f)
     )
     rows = [
         _first("coefficient-routes", args, routes),

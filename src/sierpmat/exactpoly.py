@@ -8,7 +8,9 @@ zero coefficients), so structural equality is semantic equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
+from typing import Sequence
 
 Rational = Fraction
 
@@ -197,6 +199,20 @@ def _horner(pairs: list[tuple[int, Fraction]], t: Fraction) -> Fraction:
         acc = (acc * t if gap == 1 else acc * t**gap) + c
         top = e
     return acc * t**top if top else acc
+
+
+def over_common_denominator(values: Sequence, what: str) -> tuple[list[int], int]:
+    """(numerators over d, d) for int or Fraction values, d the lcm of their
+    denominators; any other value is a TypeError naming what the values are.
+
+    >>> over_common_denominator([Fraction(1, 2), -3, Fraction(2, 3)], "vector")
+    ([3, -18, 4], 6)
+    """
+    for v in values:
+        if not isinstance(v, _SCALARS):
+            raise TypeError(f"expected int or Fraction {what} entries, got {type(v).__name__}")
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _as_poly(value):

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from random import Random
 from typing import Optional, Sequence
 
 from .digits import dominated_set, parity_w, ptm, to_digits
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, over_common_denominator
 from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 from .sierpinski import KroneckerChain, structured_apply
 
@@ -32,7 +31,6 @@ __all__ = [
     "f_poly",
     "coefficients_by_formula",
     "coefficients_by_matrix",
-    "one_minus_power_product",
     "factorization",
     "verify_factorization",
     "base3_corollary_check",
@@ -164,8 +162,7 @@ def coefficients_by_formula(
 
     A's denominators are cleared once by their lcm d, the dominated sums
     run on Python ints, and each c_n is one Fraction(sum, d)."""
-    d = lcm(*(e.denominator for e in a.entries))
-    f = [e.numerator * (d // e.denominator) for e in f_vector(b, depth, a, cap)]
+    f, d = over_common_denominator(f_vector(b, depth, a, cap), "coefficient")
     return [Fraction(sum(map(f.__getitem__, dominated_set(n, b))), d) for n in range(len(f))]
 
 
@@ -179,22 +176,18 @@ def coefficients_by_matrix(
     return structured_apply(KroneckerChain(_s_int_base(b), depth), f_vector(b, depth, a, cap))
 
 
-def one_minus_power_product(b: int, depth: int) -> UniPoly:
-    """prod_{m=0}^{depth-1} (1 - x^(b^m))."""
-    acc = UniPoly([1])
-    for m in range(depth):
-        acc = acc * UniPoly([1] + [0] * (b**m - 1) + [-1])
-    return acc
-
-
 def factorization(
     b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP
 ) -> tuple[UniPoly, list[Fraction], UniPoly]:
     """(F, c, P * prod(1 - x^(b^m))) where P has the dominated-sum
-    coefficients c; the factorization holds when the first and last agree."""
+    coefficients c; the factorization holds when the first and last agree.
+    P takes one two-term factor at a time; their product is never formed."""
     f = f_poly(b, depth, a, cap)
     c = coefficients_by_formula(b, depth, a, cap)
-    return f, c, UniPoly(c) * one_minus_power_product(b, depth)
+    product = UniPoly(c)
+    for m in range(depth):
+        product = product * UniPoly([1] + [0] * (b**m - 1) + [-1])
+    return f, c, product
 
 
 def verify_factorization(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> bool:

@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add, mul
 from typing import Optional, Sequence
 
 from .digits import _padded_digits, dominated_set, dominates, multiplicity, to_digits
-from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, rising_table
+from .exactpoly import (
+    ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, over_common_denominator, rising_table
+)
 from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 
 __all__ = [
@@ -284,18 +286,6 @@ def s_chain(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> Kroneck
     return KroneckerChain(_s_base_at(b, x0), depth)
 
 
-def _over_common_denominator(entries: Sequence, what: str) -> tuple[list[int], int]:
-    """(numerators over d, d) for int or Fraction entries, d the lcm of
-    their denominators. Anything else is refused, so nothing is rounded."""
-    for e in entries:
-        if not isinstance(e, (int, Fraction)):
-            raise TypeError(
-                f"structured_apply needs int or Fraction {what} entries, got {type(e).__name__}"
-            )
-    d = lcm(*(e.denominator for e in entries))
-    return [e.numerator * (d // e.denominator) for e in entries], d
-
-
 def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:
     """Multiply the chain's Kronecker power into vec, factor by factor.
 
@@ -313,10 +303,8 @@ def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:
         raise ValueError(
             f"vector length {len(vec)} does not match dimension {chain.dim}"
         )
-    flat, da = _over_common_denominator(
-        [e for row in chain.base_factor.rows for e in row], "factor"
-    )
-    v, dv = _over_common_denominator(vec, "vector")
+    flat, da = over_common_denominator([e for row in chain.base_factor.rows for e in row], "factor")
+    v, dv = over_common_denominator(vec, "vector")
     # each factor row as (t, integer entry) pairs over its nonzeros
     rows = [[(t, c) for t, c in enumerate(flat[i * b : (i + 1) * b]) if c] for i in range(b)]
     m = chain.dim // b

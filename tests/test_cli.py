@@ -97,6 +97,16 @@ def test_matrix_csv_symbolic_refused_before_build(capsys, monkeypatch, kind):
     assert code == 2 and out == "" and built == []
 
 
+@pytest.mark.parametrize("kind", ["M", "T", "U", "V"])
+def test_matrix_eval_refused_for_integer_kinds(capsys, monkeypatch, kind):
+    built = []
+    for name in ("m_matrix", "t_matrix", "u_matrix", "v_matrix"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: built.append(name))
+    code, out, err = run(capsys, "matrix", kind, "--base", "2", "--depth", "1", "--eval", "7/3")
+    assert (code, out, built) == (2, "", [])
+    assert err == "error: --eval applies only to S and X\n"
+
+
 def test_matrix_csv_after_eval(capsys):
     code, out, _ = run(
         capsys,
@@ -267,6 +277,45 @@ def test_verify_witness_strings(capsys, monkeypatch):
     assert code == 1
     witness = json.loads(out)["checks"][0]["witness"]
     assert witness == {"row": 1, "col": 0, "lhs": "x", "rhs": "y"}
+
+
+@pytest.mark.parametrize(
+    "b, depth, k", [(b, d, k) for b in (2, 3, 4) for d in range(1, 5) for k in range(d + 1)]
+)
+def test_zero_order_witness_matches_derivative_reference(capsys, monkeypatch, b, depth, k):
+    """F gains (x - 1)^order * g, with g(1) > 0, on three vectors: order depth
+    on vector 2 (the zero keeps its order), k on vector 5 and 0 on vector 12.
+    The witness is the first vector, then the first m, at which the m-th
+    derivative of F is nonzero at 1."""
+    rng = Random(100 * b + 10 * depth + k)
+    orders = {2: depth, 5: k, 12: 0}
+    perturbed = []
+
+    def fake_factorization(b, depth, a, cap):
+        f, c, product = factorization(b, depth, a, cap)
+        if len(perturbed) in orders:
+            g = UniPoly([Fraction(rng.randint(1, 9), rng.randint(1, 4)), rng.randint(0, 9)])
+            f = f + UniPoly([-1, 1]) ** orders[len(perturbed)] * g
+        perturbed.append(f)
+        return f, c, product
+
+    def first_nonzero_derivative():
+        for i, f in enumerate(perturbed):
+            for m in range(depth):
+                if f.eval(1) != 0:
+                    return {"vector_index": i, "derivative": m}
+                f = f.derivative()
+        return None
+
+    monkeypatch.setattr(cli, "factorization", fake_factorization)
+    code, out, _ = run(capsys, "verify", "factorization", "--base", str(b), "--depth", str(depth))
+    assert code == 1 and len(perturbed) == 20
+    row = next(c for c in json.loads(out)["checks"] if c["name"] == "zero-order-at-one")
+    expected = {"vector_index": 5, "derivative": k}
+    if k == depth:
+        expected = {"vector_index": 12, "derivative": 0}
+    assert first_nonzero_derivative() == expected
+    assert row["status"] == "fail" and row["witness"] == expected
 
 
 def test_verify_sweep_witnesses_are_first_failures(capsys, monkeypatch):

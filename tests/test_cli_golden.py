@@ -3,7 +3,10 @@
 The digests were recorded from the code before the symbolic path began to
 compute each distinct entry once; the factorization and ptm runs at
 (3, 4), (3, 6), (2, 9) and (2, 10) were added before the coefficient routes
-moved to integer arithmetic. So a change that alters any printed byte
+moved to integer arithmetic, and the factorization runs at (3, 6), (4, 4)
+and (5, 3), json and text, before the factorization check stopped forming
+the whole product prod(1 - x^(b^m)) and the derivatives of F. The
+`matrix U ... --eval` row pins a refusal (exit 2, empty stdout). So a change that alters any printed byte
 of these runs fails here. To re-pin after an intended output change, print
 the new digests with `_run` and review the output diff first.
 """
@@ -39,8 +42,15 @@ GOLDEN = [
     ("ptm --base 3 --depth 6 --zero-sum=3/4,6/7,-45/28", 0, "6e1a1e0a314f279fb530f5627b4a85017b11a8f2770235f187c00b08898dcfd8"),
     ("ptm --base 2 --depth 9 --zero-sum=-3/2,3/2", 0, "39c0f1a47419477e08a114d20ae9068dccf177ee03300c4896a96948327ff364"),
     ("verify factorization --base 2 --depth 10", 0, "dc045a9b7fda89ac34f5c9bb3acad8ea00f48c90a4b324e9c46273c99fbdd5a9"),
+    ("verify factorization --base 3 --depth 6", 0, "6c7d1e202a1173eb529a0500366e11807e9120293b5ac27cb21a15d592c6ec29"),
+    ("verify factorization --base 3 --depth 6 --format text", 0, "5182645a3ce3246ec34eb1be2b2a5da7379428a09faa28a9303e3d155cab0d68"),
+    ("verify factorization --base 4 --depth 4", 0, "00e8c34fb07fb8e96fdef0080790cba2b21c701aaf27c6f016c09f94c887bfa9"),
+    ("verify factorization --base 4 --depth 4 --format text", 0, "feea58e69bcbd4d727c346f04ad6adc366964ed74601614c11f9f091a5d1ee08"),
+    ("verify factorization --base 5 --depth 3", 0, "8acfbb4eaa0b1d4f24191b2b85bfd313b628bf93df63c7c956a861aad63387e6"),
+    ("verify factorization --base 5 --depth 3 --format text", 0, "4a08f0921b4fff4220cf792c116814a5a3a8151fc34cf4c66909a367ea8402c3"),
     ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("matrix U --base 2 --depth 1 --eval 7/3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matrix Q --base 2 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising, rising_table
+from sierpmat.exactpoly import (
+    ONE, X, Y, ZERO, Polynomial, binom_rising, over_common_denominator, rising_table
+)
 from sierpmat.ptm import UniPoly
 
 rationals = st.fractions(
@@ -180,3 +182,31 @@ def test_rising_table_rejects_negative_top():
         binom_rising(-1, X)
     with pytest.raises(TypeError):
         rising_table(2, "x")
+
+
+# --- integer scaling over a common denominator ---
+
+
+def test_over_common_denominator_ints_only():
+    assert over_common_denominator([3, -4, 0], "vector") == ([3, -4, 0], 1)
+
+
+def test_over_common_denominator_mixed():
+    values = [Fraction(-1, 4), 2, Fraction(5, 6), -3, Fraction(-7, 10)]
+    nums, d = over_common_denominator(values, "vector")
+    assert d == 60
+    assert nums == [-15, 120, 50, -180, -42]
+    assert [Fraction(n, d) for n in nums] == values
+
+
+def test_over_common_denominator_empty():
+    assert over_common_denominator([], "vector") == ([], 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, X])
+def test_over_common_denominator_refuses_non_rational(bad):
+    with pytest.raises(TypeError) as info:
+        over_common_denominator([1, bad], "coefficient")
+    assert str(info.value) == (
+        f"expected int or Fraction coefficient entries, got {type(bad).__name__}"
+    )

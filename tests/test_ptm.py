@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sierpmat.ptm as ptm_mod
 from sierpmat.digits import digit_sum, dominates, to_digits
-from sierpmat.exactpoly import X
+from sierpmat.exactpoly import X, Polynomial
 from sierpmat.matrix import Matrix
 from sierpmat.ptm import (
     UniPoly,
@@ -20,8 +20,8 @@ from sierpmat.ptm import (
     eigen_poly_annihilation_check,
     f_poly,
     f_vector,
+    factorization,
     m_matrix,
-    one_minus_power_product,
     power_relation_check,
     power_sums,
     prouhet_partition,
@@ -282,9 +282,11 @@ def test_coefficients_vanish_on_top_digit():
 
 
 def test_one_minus_power_product():
-    assert one_minus_power_product(2, 1) == UniPoly([1, -1])
+    # A = (1, -1) gives P = 1, so the product is prod(1 - x^(2^m)) itself
+    a = ZeroSumVector(2, (1, -1))
+    assert factorization(2, 1, a)[2] == UniPoly([1, -1])
     # (1-x)(1-x^2) = 1 - x - x^2 + x^3
-    assert one_minus_power_product(2, 2) == UniPoly([1, -1, -1, 1])
+    assert factorization(2, 2, a)[2] == UniPoly([1, -1, -1, 1])
 
 
 def test_classic_binary_factorization():
@@ -292,8 +294,26 @@ def test_classic_binary_factorization():
     a = ZeroSumVector(2, (1, -1))
     c = coefficients_by_formula(2, 3, a)
     assert c[0] == 1 and all(v == 0 for v in c[1:])
-    assert f_poly(2, 3, a) == one_minus_power_product(2, 3)
+    assert f_poly(2, 3, a) == factorization(2, 3, a)[2] == UniPoly([1, -1, -1, 1, -1, 1, 1, -1])
     assert verify_factorization(2, 3, a)
+
+
+def test_factorization_product_matches_whole_product_reference():
+    """P times one (1 - x^(b^m)) at a time equals P times the whole product,
+    built here by sparse two-term products."""
+    rng = Random(20261019)
+    for b in (2, 3, 4, 5):
+        depth = 1
+        while b**depth <= 729:
+            whole = Polynomial({(0, 0): 1})
+            for m in range(depth):
+                whole = whole * Polynomial({(0, 0): 1, (b**m, 0): -1})
+            for _ in range(2):
+                a = random_zero_sum(b, rng)
+                f, c, product = factorization(b, depth, a)
+                assert product == UniPoly(c) * whole, (b, depth, a)
+                assert f == product
+            depth += 1
 
 
 def test_factorization_examples():
