@@ -221,9 +221,9 @@ def _suite_factorization(args) -> list[dict]:
     if b == 3:
         corollary = (
             {"vector_index": i, "n": n}
-            for i, a in enumerate(vectors)
-            for n in range(3**depth)
-            if 2 not in to_digits(n, 3).digits and not base3_corollary_check(n, a)
+            for i, (a, (_, c, _)) in enumerate(zip(vectors, results))
+            for n, cn in enumerate(c)
+            if 2 not in to_digits(n, 3).digits and not base3_corollary_check(n, a, cn)
         )
         rows.append(_first("base3-corollary", args, corollary))
     return rows

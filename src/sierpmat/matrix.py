@@ -1,18 +1,22 @@
-"""Dense exact matrices over any ring whose elements supply +, *, ==, hash
+"""Sparse exact matrices over any ring whose elements supply +, *, ==, hash
 and truth (an entry is zero exactly when it is falsy).
 
 Entries may be ints, Fractions, or Polynomials (mixed freely, since those
-types coerce each other); nothing here ever rounds. Storage is dense, but
-the product and matvec do work only on nonzero entries: A * B forms one
-entry product per pair (A[i][k], B[k][j]) with both factors nonzero, and
-A.matvec(v) one per nonzero A[i][k]. Every family in this package is
-supported on the digit-dominance pattern, so nearly all entries are zero.
+types coerce each other); nothing here ever rounds. Each row is a
+{col: entry} dict of its nonzeros, and each matrix carries one zero that
+absent cells read as; a zero of another type stays stored, so zeros that
+print apart keep their types. Every family in this package is supported on
+the digit-dominance pattern (S(x) at base 2 has 3^N nonzeros in 4^N cells),
+so every operation touches stored entries only: A * B runs row by row
+(Gustavson), one product per pair (A[i][k], B[k][j]) of stored entries.
 A.map(fn) calls fn once per distinct entry, which is why entries must be
-hashable: S(x) at base 2, depth 6 has 4096 entries but 8 distinct values.
+hashable. `rows` is a dense view, built on each access.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 DEFAULT_CAP = 4096
@@ -49,45 +53,57 @@ def kron_power(
     return acc
 
 
-def _zero_of(*row_sets) -> object:
-    """The zero a dense sum of products of these entries gives: 0 times one
-    entry of each type present (int 0, Fraction(0) or the zero Polynomial)."""
-    samples = {}
-    for rows in row_sets:
-        for row in rows:
-            samples.update(zip(map(type, row), row))
-    zero = 0
-    for e in samples.values():
-        zero = zero * e
-    return zero
-
-
 class Matrix:
-    """Immutable dense matrix with exact entrywise arithmetic."""
+    """Immutable sparse matrix with exact entrywise arithmetic."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("_rows", "zero", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(tuple(r) for r in rows)
+        rows = [tuple(r) for r in rows]
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("rows have unequal lengths")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
+        # the first zero given is the matrix zero; with none, 0 times an entry
+        zero = next((e for r in rows for e in r if not e), 0 * rows[0][0])
+        self._set([dict(enumerate(r)) for r in rows], width, zero)
+
+    @classmethod
+    def _of(cls, rows: list[dict], ncols: int, zero) -> Matrix:
+        m = object.__new__(cls)
+        m._set(rows, ncols, zero)
+        return m
+
+    def _set(self, rows: list[dict], ncols: int, zero) -> None:
+        """Store rows, dropping each zero of the same type as the matrix zero."""
+        ty = type(zero)
+        kept = tuple({j: e for j, e in r.items() if e or type(e) is not ty} for r in rows)
+        for name, value in (("_rows", kept), ("zero", zero), ("nrows", len(rows)), ("ncols", ncols)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """Dense view: every cell, absent ones read as the matrix zero."""
+        cols, zero = range(self.ncols), self.zero
+        return tuple(tuple(r.get(j, zero) for j in cols) for r in self._rows)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries: the nonzeros, plus any zero of another type."""
+        return sum(map(len, self._rows))
+
     @classmethod
     def identity(cls, n: int, one=1, zero=0) -> Matrix:
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of([{i: one} for i in range(n)], n, zero)
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        # range indexing bounds-checks j and resolves a negative one
+        return self._rows[i].get(range(self.ncols)[j], self.zero)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -103,10 +119,14 @@ class Matrix:
         difference, or None when the matrices are equal."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix comparison")
-        for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
-            for j, (a, b) in enumerate(zip(ra, rb)):
-                if a != b:
-                    return i, j, a, b
+        za, zb = self.zero, other.zero
+        for i, (ra, rb) in enumerate(zip(self._rows, other._rows)):
+            # equal dicts are equal rows; otherwise only stored cells can differ
+            if ra != rb:
+                for j in sorted(ra.keys() | rb.keys()):
+                    a, b = ra.get(j, za), rb.get(j, zb)
+                    if a != b:
+                        return i, j, a, b
         return None
 
     def __add__(self, other: Matrix) -> Matrix:
@@ -114,35 +134,43 @@ class Matrix:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        zero = self.zero + other.zero
+        ty = type(zero)
+
+        def lone(e):
+            # a cell stored on one side only: e, or e + zero where that changes its type
+            return e if type(e) is ty else e + zero
+
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = {j: lone(a) for j, a in ra.items()}
+            for j, b in rb.items():
+                row[j] = ra[j] + b if j in ra else lone(b)
+            out.append(row)
+        return Matrix._of(out, self.ncols, zero)
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self + (-other)
 
     def __neg__(self) -> Matrix:
-        return Matrix([[-a for a in row] for row in self.rows])
+        return self.map(lambda e: -e)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
             # row by row (Gustavson): row i of the product sums a * (row k of
-            # other) over the nonzero a = self[i][k], touching only nonzeros
-            nonzeros = [[(j, e) for j, e in enumerate(row) if e] for row in other.rows]
-            zero = _zero_of(self.rows, other.rows)
-            cols = range(other.ncols)
+            # other) over the stored a = self[i][k]
+            brows = other._rows
             out = []
-            for row in self.rows:
+            for row in self._rows:
                 acc = {}
-                for a, pairs in zip(row, nonzeros):
-                    if a:
-                        for j, e in pairs:
-                            p = a * e
-                            acc[j] = acc[j] + p if j in acc else p
-                out.append([acc.get(j, zero) for j in cols])
-            return Matrix(out)
+                for k, a in row.items():
+                    for j, e in brows[k].items():
+                        p = a * e
+                        acc[j] = acc[j] + p if j in acc else p
+                out.append(acc)
+            return Matrix._of(out, other.ncols, self.zero * other.zero)
         return self.map(lambda e: e * other)
 
     def __rmul__(self, other):
@@ -163,28 +191,38 @@ class Matrix:
 
     def kron(self, other: Matrix) -> Matrix:
         """Kronecker product; the left factor indexes the blocks."""
-        rows = []
-        for arow in self.rows:
-            for brow in other.rows:
-                rows.append([a * b for a in arow for b in brow])
-        return Matrix(rows)
+        w = other.ncols
+        rows = [
+            {ja * w + jb: a * b for ja, a in ra.items() for jb, b in rb.items()}
+            for ra in self._rows
+            for rb in other._rows
+        ]
+        return Matrix._of(rows, self.ncols * w, self.zero * other.zero)
 
     def transpose(self) -> Matrix:
-        return Matrix(list(zip(*self.rows)))
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._rows):
+            for j, e in row.items():
+                cols[j][i] = e
+        return Matrix._of(cols, self.nrows, self.zero)
 
     def skew_transpose(self) -> Matrix:
         """Reflection across the anti-diagonal: out[i][j] = self[n-1-j][n-1-i]."""
         if self.nrows != self.ncols:
             raise ValueError("skew transpose requires a square matrix")
         n = self.nrows
-        return Matrix(
-            [[self.rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
-        )
+        out = [{} for _ in range(n)]
+        for i in reversed(range(n)):
+            for j, e in self._rows[i].items():
+                out[n - 1 - j][n - 1 - i] = e
+        return Matrix._of(out, n, self.zero)
 
     def map(self, fn: Callable) -> Matrix:
         """Apply fn entrywise, calling it once per distinct (type, value):
         0, Fraction(0) and the zero Polynomial are equal but print apart,
-        so each keeps its own result.
+        so each keeps its own result. The matrix zero counts as an entry
+        when some cell is absent; where fn maps it to a nonzero, the result
+        is dense.
 
         >>> calls = []
         >>> Matrix([[2, 0], [2, 0]]).map(lambda e: calls.append(e) or e + 1).rows
@@ -202,23 +240,28 @@ class Matrix:
                 result = memo[key] = fn(e)
                 return result
 
-        return Matrix([[once(e) for e in row] for row in self.rows])
+        out = [{j: once(e) for j, e in row.items()} for row in self._rows]
+        full = self.nnz == self.nrows * self.ncols
+        zero = None if full else fn(self.zero)  # fn never sees an unread zero
+        if full or zero:
+            return Matrix([[row.get(j, zero) for j in range(self.ncols)] for row in out])
+        return Matrix._of(out, self.ncols, zero)
 
     def matvec(self, vec: Sequence) -> list:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match matrix width")
-        zero = _zero_of(self.rows, (vec,))
-        return [sum((a * v for a, v in zip(row, vec) if a), zero) for row in self.rows]
+        # the zero a dense sum gives: the matrix zero times one entry of each vec type
+        zero = reduce(mul, {type(v): v for v in vec}.values(), self.zero)
+        return [sum((a * vec[j] for j, a in row.items()), zero) for row in self._rows]
 
     def is_lower_triangular(self, strict: bool = False) -> bool:
-        for i, row in enumerate(self.rows):
-            first_banned = i + (0 if strict else 1)
-            if any(row[first_banned:]):
-                return False
-        return True
+        shift = 0 if strict else 1
+        return not any(
+            e for i, row in enumerate(self._rows) for j, e in row.items() if j >= i + shift
+        )
 
     def diagonal(self) -> list:
-        return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
+        return [self._rows[i].get(i, self.zero) for i in range(min(self.nrows, self.ncols))]
 
     def __str__(self):
         body = "\n".join("  ".join(str(e) for e in row) for row in self.rows)

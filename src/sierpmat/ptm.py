@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from random import Random
 from typing import Optional, Sequence
 
@@ -181,13 +182,16 @@ def factorization(
 ) -> tuple[UniPoly, list[Fraction], UniPoly]:
     """(F, c, P * prod(1 - x^(b^m))) where P has the dominated-sum
     coefficients c; the factorization holds when the first and last agree.
-    P takes one two-term factor at a time; their product is never formed."""
+    P's coefficients are cleared to integers over their lcm d, each factor
+    (1 - x^s) is one shifted subtraction on them, and the product of the
+    factors alone is never formed."""
     f = f_poly(b, depth, a, cap)
     c = coefficients_by_formula(b, depth, a, cap)
-    product = UniPoly(c)
+    nums, d = over_common_denominator(c, "coefficient")
     for m in range(depth):
-        product = product * UniPoly([1] + [0] * (b**m - 1) + [-1])
-    return f, c, product
+        pad = [0] * b**m
+        nums = list(map(sub, nums + pad, pad + nums))
+    return f, c, UniPoly([Fraction(v, d) for v in nums])
 
 
 def verify_factorization(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> bool:
@@ -197,16 +201,16 @@ def verify_factorization(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAUL
     return f == product
 
 
-def base3_corollary_check(n: int, a: ZeroSumVector) -> bool:
+def base3_corollary_check(n: int, a: ZeroSumVector, c_n: Fraction) -> bool:
     """For base 3 and n with digits in {0,1}: the dominated-sum coefficient
-    c_n equals (-1)^parity_w(n) * A[u(2n)]."""
+    c_n (coefficients_by_formula(3, depth, a)[n]) equals
+    (-1)^parity_w(n) * A[u(2n)]."""
     if a.base != 3:
         raise ValueError(f"vector has base {a.base}, expected 3")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if any(d == 2 for d in to_digits(n, 3).digits):
         raise ValueError(f"n = {n} contains digit 2 in base 3")
-    c_n = sum((a.entries[ptm(k, 3)] for k in dominated_set(n, 3)), Fraction(0))
     sign = -1 if parity_w(n) else 1
     return c_n == sign * a.entries[ptm(2 * n, 3)]
 

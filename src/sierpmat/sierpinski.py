@@ -2,7 +2,7 @@
 nilpotent generators whose exponential recovers them.
 
 Everything is exact: matrix entries are Polynomial (variables x, y) or
-Fraction, never floats. Dense constructions go through the Kronecker
+Fraction, never floats. Whole matrices go through the Kronecker
 recursion; closed-form entries come straight from digit expansions, and the
 two routes are checked against each other in the test suite.
 """
@@ -256,7 +256,7 @@ def matrix_exp_nilpotent(x_mat: Matrix, nilpotency_bound: Optional[int] = None) 
     term = result
     for n in range(1, bound + 1):
         term = term * x_mat * Fraction(1, n)
-        if not any(map(any, term.rows)):
+        if not term.nnz:
             break
         result = result + term
     return result

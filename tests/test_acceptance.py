@@ -229,10 +229,11 @@ def test_acceptance_07_coefficient_suite():
                         f = f.derivative()
             if b == 3:
                 for a in vectors:
+                    c = coefficients_by_formula(3, 3, a)
                     for n in range(27):
                         if 2 in to_digits(n, 3).digits:
                             continue
-                        assert base3_corollary_check(n, a), n
+                        assert base3_corollary_check(n, a, c[n]), n
 
     _timed(7, "coefficient-suite", 60, body)
 

@@ -357,7 +357,7 @@ def test_verify_sweep_witnesses_are_first_failures(capsys, monkeypatch):
     monkeypatch.setattr(cli, "x_power_entry_check", lambda b, n: n != 2)
     monkeypatch.setattr(cli, "factorization", fake_factorization)
     monkeypatch.setattr(
-        cli, "base3_corollary_check", lambda n, a: not (a in vectors[1:3] and n in (3, 4))
+        cli, "base3_corollary_check", lambda n, a, c_n: not (a in vectors[1:3] and n in (3, 4))
     )
     monkeypatch.setattr(cli, "power_sums", fake_power_sums)
 

@@ -5,9 +5,10 @@ compute each distinct entry once; the factorization and ptm runs at
 (3, 4), (3, 6), (2, 9) and (2, 10) were added before the coefficient routes
 moved to integer arithmetic, and the factorization runs at (3, 6), (4, 4)
 and (5, 3), json and text, before the factorization check stopped forming
-the whole product prod(1 - x^(b^m)) and the derivatives of F. The
-`matrix U ... --eval` row pins a refusal (exit 2, empty stdout). So a change that alters any printed byte
-of these runs fails here. To re-pin after an intended output change, print
+the whole product prod(1 - x^(b^m)) and the derivatives of F; the exp run
+at (2, 8) and the one-parameter run at (3, 5) before Matrix stored only
+nonzeros. The `matrix U ... --eval` row pins a refusal (exit 2, empty
+stdout). So a change that alters any printed byte of these runs fails here. To re-pin after an intended output change, print
 the new digests with `_run` and review the output diff first.
 """
 
@@ -48,6 +49,8 @@ GOLDEN = [
     ("verify factorization --base 4 --depth 4 --format text", 0, "feea58e69bcbd4d727c346f04ad6adc366964ed74601614c11f9f091a5d1ee08"),
     ("verify factorization --base 5 --depth 3", 0, "8acfbb4eaa0b1d4f24191b2b85bfd313b628bf93df63c7c956a861aad63387e6"),
     ("verify factorization --base 5 --depth 3 --format text", 0, "4a08f0921b4fff4220cf792c116814a5a3a8151fc34cf4c66909a367ea8402c3"),
+    ("verify exp --base 2 --depth 8", 0, "550cccd948508ff257e0e05dfae4583488c88c366695f9301c7333468020ceae"),
+    ("verify one-parameter --base 3 --depth 5", 0, "901c6620573e7a14c6d1fce90acace737669655e4e617d4006ed0c5aea1404be"),
     ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matrix U --base 2 --depth 1 --eval 7/3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

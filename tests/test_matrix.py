@@ -316,3 +316,133 @@ def test_map_keeps_zero_types_apart():
     ]
     assert [str(e) for r in m.map(lambda e: e + 1).rows for e in r] == ["1", "1", "1", "1"]
     assert [type(e) for e in (m * Fraction(1, 2)).rows[0]] == [Fraction, Fraction]
+
+
+# --- the sparse storage against the dense algorithms it replaced ---
+# Each _dense_* below is the dense form of one Matrix operation, over plain
+# lists of rows; every operation must give the same cell values, the same
+# cell types (zeros included) and the same first_mismatch witness.
+
+
+def _dense_zero(*row_sets):
+    """0 times one entry of each type present: the zero a dense sum of
+    products of these entries gives."""
+    samples = {}
+    for rows in row_sets:
+        for row in rows:
+            samples.update(zip(map(type, row), row))
+    zero = 0
+    for e in samples.values():
+        zero = zero * e
+    return zero
+
+
+def _dense_mul(a, b):
+    zero = _dense_zero(a, b)
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, e in enumerate(b[k]):
+                    if e:
+                        acc[j] = acc[j] + x * e if j in acc else x * e
+        out.append([acc.get(j, zero) for j in range(len(b[0]))])
+    return out
+
+
+def _dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _dense_skew(a):
+    n = len(a)
+    return [[a[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
+
+
+def _dense_matvec(a, v):
+    zero = _dense_zero(a, (v,))
+    return [sum((x * y for x, y in zip(row, v) if x), zero) for row in a]
+
+
+def _dense_first_mismatch(a, b):
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for j, (x, y) in enumerate(zip(ra, rb)):
+            if x != y:
+                return i, j, x, y
+    return None
+
+
+def _same(got, want):
+    """Matrix got reads as the dense rows want, cell values and types."""
+    rows = [list(r) for r in got.rows]
+    assert rows == [list(r) for r in want]
+    assert [[type(e) for e in r] for r in rows] == [[type(e) for e in r] for r in want]
+    assert got.nnz <= got.nrows * got.ncols
+
+
+def _same_witness(got, want):
+    assert got == want
+    if want is not None:
+        assert (type(got[2]), type(got[3])) == (type(want[2]), type(want[3]))
+
+
+def _poked(rows, kind, rng):
+    """rows with up to three cells replaced: by an entry of the given kind,
+    or by a zero of any kind."""
+    out = [list(r) for r in rows]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(len(out)), rng.randrange(len(out[0]))
+        out[i][j] = rng.choice([_random_entry(kind, rng), 0, Fraction(0), ZERO])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)),
+    seed=st.integers(0, 10**6),
+)
+def test_sparse_storage_matches_dense_reference(kinds, shape, seed):
+    rng = Random(seed)
+    (ka, kb), (n, m, k) = kinds, shape
+    a = _random_sparse(ka, n, m, rng)
+    b = _random_sparse(kb, n, m, rng)
+    c = _random_sparse(kb, m, k, rng)
+    neg_a = [[-e for e in r] for r in a]
+    ma, mb, mc = Matrix(a), Matrix(b), Matrix(c)
+
+    _same(ma, a)
+    _same(ma + mb, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+    _same(ma - mb, [[x + -y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+    _same(-ma, neg_a)
+    _same(ma + (-ma), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, neg_a)])
+    _same(ma * mc, _dense_mul(a, c))
+    # [A | A] times [C ; -C]: every cell's products cancel in the sum
+    cancel = [ra + ra for ra in a]
+    stacked = [list(r) for r in c] + [[-e for e in r] for r in c]
+    _same(Matrix(cancel) * Matrix(stacked), _dense_mul(cancel, stacked))
+    _same(ma.kron(mc), _dense_kron(a, c))
+    _same(ma.transpose(), [list(col) for col in zip(*a)])
+    _same(ma * Fraction(1, 3), [[e * Fraction(1, 3) for e in r] for r in a])
+    _same(ma.map(lambda e: e * 2 + 1), [[e * 2 + 1 for e in r] for r in a])
+    _same(ma.map(lambda e: e * 0), [[e * 0 for e in r] for r in a])
+    square = [r[:n] for r in _random_sparse(ka, n, max(n, m), rng)]
+    _same(Matrix(square).skew_transpose(), _dense_skew(square))
+    assert Matrix(square).diagonal() == [square[i][i] for i in range(n)]
+    assert [type(e) for e in Matrix(square).diagonal()] == [type(square[i][i]) for i in range(n)]
+    for strict in (False, True):
+        shift = 0 if strict else 1
+        lower = not any(e for i, r in enumerate(square) for e in r[i + shift :])
+        assert Matrix(square).is_lower_triangular(strict) == lower
+
+    v = [r[0] for r in _random_sparse(kb, m, 1, rng)]
+    got_v, want_v = ma.matvec(v), _dense_matvec(a, v)
+    assert got_v == want_v
+    assert [type(e) for e in got_v] == [type(e) for e in want_v]
+
+    for other in (a, b, _poked(a, ka, rng), _poked(a, kb, rng)):
+        _same(Matrix(other), other)
+        _same_witness(ma.first_mismatch(Matrix(other)), _dense_first_mismatch(a, other))
+        _same_witness(Matrix(other).first_mismatch(ma), _dense_first_mismatch(other, a))
+        assert (ma == Matrix(other)) == (_dense_first_mismatch(a, other) is None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sierpmat.ptm as ptm_mod
-from sierpmat.digits import digit_sum, dominates, to_digits
+from sierpmat.digits import digit_sum, dominated_set, dominates, ptm, to_digits
 from sierpmat.exactpoly import X, Polynomial
 from sierpmat.matrix import Matrix
 from sierpmat.ptm import (
@@ -316,6 +316,20 @@ def test_factorization_product_matches_whole_product_reference():
             depth += 1
 
 
+def test_factorization_matches_unipoly_product_reference():
+    """The shifted integer subtractions give what P times one UniPoly
+    factor (1 - x^(b^m)) at a time gives."""
+    rng = Random(20261020)
+    for b, depth in ((2, 8), (3, 5), (4, 4)):
+        a = random_zero_sum(b, rng)
+        f, c, product = factorization(b, depth, a)
+        reference = UniPoly(c)
+        for m in range(depth):
+            reference = reference * UniPoly([1] + [0] * (b**m - 1) + [-1])
+        assert type(product) is UniPoly
+        assert product == reference == f, (b, depth)
+
+
 def test_factorization_examples():
     assert verify_factorization(3, 2, ZeroSumVector(3, (2, -1, -1)))
     rng = Random(20260815)
@@ -338,34 +352,44 @@ def test_order_of_zero_at_one():
 # -- base-3 corollary --------------------------------------------------------
 
 
+def _dominated_c(n, a):
+    """Reference c_n: a Fraction sum of A[u(k)] over the k whose base-3
+    digits sit below n's, one digit-sum per term."""
+    return sum((a.entries[ptm(k, 3)] for k in dominated_set(n, 3)), Fraction(0))
+
+
 def test_base3_corollary_hand_values():
     a = ZeroSumVector(3, (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)))
     # n=1: c_1 = a_0 + a_1 = -a_2, and u_3(2) = 2
-    assert base3_corollary_check(1, a)
+    assert base3_corollary_check(1, a, _dominated_c(1, a))
     # n=3: c_3 = a_0 + a_1 = -a_2 = -A[u_3(6)]
-    assert base3_corollary_check(3, a)
+    assert base3_corollary_check(3, a, _dominated_c(3, a))
     # n=4: c_4 = a_1 = +A[u_3(8)]
-    assert base3_corollary_check(4, a)
+    assert base3_corollary_check(4, a, _dominated_c(4, a))
+    # a wrong c_n fails the check
+    assert not base3_corollary_check(4, a, _dominated_c(4, a) + 1)
 
 
 def test_base3_corollary_sweep():
     rng = Random(5)
     for _ in range(5):
         a = random_zero_sum(3, rng)
+        c = coefficients_by_formula(3, 3, a)
         for n in range(27):
             if 2 in to_digits(n, 3).digits:
                 continue
-            assert base3_corollary_check(n, a), n
+            assert c[n] == _dominated_c(n, a), n
+            assert base3_corollary_check(n, a, c[n]), n
 
 
 def test_base3_corollary_rejections():
     a = ZeroSumVector(3, (1, 1, -2))
     with pytest.raises(ValueError):
-        base3_corollary_check(2, a)
+        base3_corollary_check(2, a, 0)
     with pytest.raises(ValueError):
-        base3_corollary_check(-1, a)
+        base3_corollary_check(-1, a, 0)
     with pytest.raises(ValueError):
-        base3_corollary_check(1, ZeroSumVector(2, (1, -1)))
+        base3_corollary_check(1, ZeroSumVector(2, (1, -1)), 0)
 
 
 # -- Prouhet partitions ------------------------------------------------------
