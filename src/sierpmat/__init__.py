@@ -5,7 +5,7 @@ polynomial factorization, and the associated group relations."""
 import importlib
 
 from . import digits, exactpoly, matrix, ptm, sierpinski
-from .digits import BaseBExpansion, carry_free, digit_sum, dominated_set, dominates
+from .digits import carry_free, digit_sum, dominated_set, dominates
 from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising
 from .matrix import DEFAULT_CAP, Matrix, checked_dim
 from .ptm import UniPoly, ZeroSumVector
@@ -37,7 +37,6 @@ __all__ = [
     "matrix",
     "ptm",
     "sierpinski",
-    "BaseBExpansion",
     "carry_free",
     "digit_sum",
     "dominated_set",

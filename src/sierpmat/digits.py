@@ -1,8 +1,10 @@
-"""Base-b digit expansions, digit statistics, and the digital-dominance order."""
+"""Base-b digit tuples, digit statistics, and the digital-dominance order.
+
+A digit tuple lists the base-b digits of a non-negative integer, least
+significant first; zero is (0,), so the tuple is never empty.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def _check_base(b: int) -> None:
@@ -10,37 +12,23 @@ def _check_base(b: int) -> None:
         raise ValueError(f"base must be >= 2, got {b}")
 
 
-@dataclass(frozen=True)
-class BaseBExpansion:
-    """A non-negative integer with its base-b digits, least-significant first.
-
-    Zero is represented with the single digit (0,), so the digit vector is
-    never empty.
-    """
-
-    base: int
-    value: int
-    digits: tuple[int, ...]
-
-
-def to_digits(n: int, b: int) -> BaseBExpansion:
-    """Expand n in base b."""
+def to_digits(n: int, b: int) -> tuple[int, ...]:
+    """The base-b digits of n, least significant first; (0,) for zero."""
     _check_base(b)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n == 0:
-        return BaseBExpansion(b, 0, (0,))
+        return (0,)
     digits = []
-    m = n
-    while m:
-        m, d = divmod(m, b)
+    while n:
+        n, d = divmod(n, b)
         digits.append(d)
-    return BaseBExpansion(b, n, tuple(digits))
+    return tuple(digits)
 
 
 def digit_sum(n: int, b: int) -> int:
     """Sum of the base-b digits of n."""
-    return sum(to_digits(n, b).digits)
+    return sum(to_digits(n, b))
 
 
 def ptm(n: int, b: int) -> int:
@@ -54,8 +42,8 @@ def parity_w(n: int) -> int:
 
 
 def _padded_digits(m: int, n: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    dm = to_digits(m, b).digits
-    dn = to_digits(n, b).digits
+    dm = to_digits(m, b)
+    dn = to_digits(n, b)
     width = max(len(dm), len(dn))
     return dm + (0,) * (width - len(dm)), dn + (0,) * (width - len(dn))
 
@@ -80,7 +68,7 @@ def multiplicity(n: int, j: int, b: int) -> int:
     _check_base(b)
     if not 1 <= j <= b - 1:
         raise ValueError(f"digit value must be in [1, {b - 1}], got {j}")
-    return sum(1 for d in to_digits(n, b).digits if d == j)
+    return sum(1 for d in to_digits(n, b) if d == j)
 
 
 def dominated_set(n: int, b: int) -> list[int]:
@@ -92,7 +80,7 @@ def dominated_set(n: int, b: int) -> list[int]:
     """
     values = [0]
     weight = 1
-    for d in to_digits(n, b).digits:
+    for d in to_digits(n, b):
         values = [v + c * weight for c in range(d + 1) for v in values]
         weight *= b
     return values

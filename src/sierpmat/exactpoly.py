@@ -113,9 +113,6 @@ class Polynomial:
             result = result * self
         return result
 
-    def scale(self, c) -> Polynomial:
-        return self * Fraction(c)
-
     def __eq__(self, other):
         other = _as_poly(other)
         if other is None:

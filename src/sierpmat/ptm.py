@@ -29,11 +29,9 @@ __all__ = [
     "t_matrix",
     "s_int",
     "f_vector",
-    "f_poly",
     "coefficients_by_formula",
     "coefficients_by_matrix",
     "factorization",
-    "verify_factorization",
     "base3_corollary_check",
     "prouhet_partition",
     "power_sums",
@@ -152,10 +150,6 @@ def f_vector(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> li
     return [a.entries[ptm(n, b)] for n in range(dim)]
 
 
-def f_poly(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> UniPoly:
-    return UniPoly(f_vector(b, depth, a, cap))
-
-
 def coefficients_by_formula(
     b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP
 ) -> list[Fraction]:
@@ -185,20 +179,13 @@ def factorization(
     P's coefficients are cleared to integers over their lcm d, each factor
     (1 - x^s) is one shifted subtraction on them, and the product of the
     factors alone is never formed."""
-    f = f_poly(b, depth, a, cap)
+    f = UniPoly(f_vector(b, depth, a, cap))
     c = coefficients_by_formula(b, depth, a, cap)
     nums, d = over_common_denominator(c, "coefficient")
     for m in range(depth):
         pad = [0] * b**m
         nums = list(map(sub, nums + pad, pad + nums))
     return f, c, UniPoly([Fraction(v, d) for v in nums])
-
-
-def verify_factorization(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> bool:
-    """Exact check that F == P * prod(1 - x^(b^m)) with P built from the
-    dominated-sum coefficients."""
-    f, _, product = factorization(b, depth, a, cap)
-    return f == product
 
 
 def base3_corollary_check(n: int, a: ZeroSumVector, c_n: Fraction) -> bool:
@@ -209,7 +196,7 @@ def base3_corollary_check(n: int, a: ZeroSumVector, c_n: Fraction) -> bool:
         raise ValueError(f"vector has base {a.base}, expected 3")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if any(d == 2 for d in to_digits(n, 3).digits):
+    if 2 in to_digits(n, 3):
         raise ValueError(f"n = {n} contains digit 2 in base 3")
     sign = -1 if parity_w(n) else 1
     return c_n == sign * a.entries[ptm(2 * n, 3)]

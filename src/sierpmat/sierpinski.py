@@ -69,13 +69,18 @@ def s_numeric(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> Matri
 def s_entry(b: int, depth: int, j: int, k: int) -> Polynomial:
     """Closed-form entry: prod_i binom_rising(d_i(j-k), x) when the digits of
     k sit below those of j, else 0."""
-    dim = checked_dim(b, depth, cap=max(DEFAULT_CAP, b**depth))
+    # checked_dim's checks without its cap: one entry costs O(depth) at any b**depth
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    dim = b**depth
     if not (0 <= j < dim and 0 <= k < dim):
-        raise IndexError(f"entry ({j},{k}) out of range for dimension {dim}")
+        raise IndexError(f"entry ({j},{k}) out of range for dimension {b}^{depth}")
     if not dominates(k, j, b):
         return ZERO
     acc = ONE
-    for d in to_digits(j - k, b).digits:
+    for d in to_digits(j - k, b):
         acc = acc * binom_rising(d, X)
     return acc
 
@@ -102,7 +107,7 @@ def digital_binomial_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    digits = to_digits(n, b).digits
+    digits = to_digits(n, b)
     tx, ty, txy = (rising_table(max(digits), arg) for arg in (X, Y, X + Y))
     lhs = ONE
     for d in digits:
@@ -137,12 +142,9 @@ def multiplicity_identity_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]
     return lhs, rhs
 
 
-def gould_check(
-    n: int, x0: Optional[Rational] = None, y0: Optional[Rational] = None
-) -> bool:
+def gould_check(n: int) -> bool:
     """Convolution identity
-    sum_k C(x+k, k) C(y+n-k, n-k) == C(x+y+n+1, n),
-    checked symbolically, or at a rational point when x0/y0 are given."""
+    sum_k C(x+k, k) C(y+n-k, n-k) == C(x+y+n+1, n), checked symbolically."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     # C(x+k, k) is the rising binomial in x+1
@@ -150,12 +152,7 @@ def gould_check(
     lhs = ZERO
     for k in range(n + 1):
         lhs = lhs + tx[k] * ty[n - k]
-    rhs = binom_rising(n, X + Y + 2)
-    if x0 is None and y0 is None:
-        return lhs == rhs
-    px = Fraction(x0) if x0 is not None else 0
-    py = Fraction(y0) if y0 is not None else 0
-    return lhs.eval(px, py) == rhs.eval(px, py)
+    return lhs == binom_rising(n, X + Y + 2)
 
 
 def shifted_gould_check(p: int, q: int) -> bool:
@@ -206,7 +203,7 @@ def x_base(b: int) -> Matrix:
         raise ValueError(f"base must be >= 2, got {b}")
     return Matrix(
         [
-            [X.scale(Fraction(1, j - k)) if j > k else ZERO for k in range(b)]
+            [X * Fraction(1, j - k) if j > k else ZERO for k in range(b)]
             for j in range(b)
         ]
     )
@@ -236,25 +233,22 @@ def x_power_entry_check(b: int, n: int) -> bool:
     def entry(d: int) -> Polynomial:
         if d < n:
             return ZERO
-        return xn.scale(Fraction(factorial(n), factorial(d)) * stirling_first(d, n))
+        return xn * (Fraction(factorial(n), factorial(d)) * stirling_first(d, n))
 
     closed = Matrix([[entry(j - k) for k in range(b)] for j in range(b)])
     return x_base(b).power(n) == closed
 
 
-def matrix_exp_nilpotent(x_mat: Matrix, nilpotency_bound: Optional[int] = None) -> Matrix:
-    """exp of a strictly lower-triangular matrix: sum_{n<=bound} X^n / n!.
-
-    The default bound dim-1 always suffices; a smaller known bound saves work.
-    """
+def matrix_exp_nilpotent(x_mat: Matrix) -> Matrix:
+    """exp of a strictly lower-triangular matrix: sum_n X^n / n!, up to its
+    first zero term (X^dim = 0 bounds it)."""
     if x_mat.nrows != x_mat.ncols:
         raise ValueError("matrix exponential requires a square matrix")
     if not x_mat.is_lower_triangular(strict=True):
         raise ValueError("matrix is not strictly lower-triangular")
-    bound = x_mat.nrows - 1 if nilpotency_bound is None else nilpotency_bound
     result = Matrix.identity(x_mat.nrows, one=ONE, zero=ZERO)
     term = result
-    for n in range(1, bound + 1):
+    for n in range(1, x_mat.nrows):
         term = term * x_mat * Fraction(1, n)
         if not term.nnz:
             break

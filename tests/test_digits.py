@@ -17,9 +17,9 @@ from sierpmat.digits import (
 
 
 def test_to_digits_examples():
-    assert to_digits(3, 2).digits == (1, 1)
-    assert to_digits(0, 5).digits == (0,)
-    assert to_digits(10, 2).digits == (0, 1, 0, 1)
+    assert to_digits(3, 2) == (1, 1)
+    assert to_digits(0, 5) == (0,)
+    assert to_digits(10, 2) == (0, 1, 0, 1)
 
 
 def test_to_digits_rejects_bad_input():
@@ -32,13 +32,13 @@ def test_to_digits_rejects_bad_input():
 @given(n=st.integers(min_value=0, max_value=10**9), b=st.integers(min_value=2, max_value=16))
 def test_to_digits_reconstructs_value(n, b):
     expansion = to_digits(n, b)
-    assert all(0 <= d < b for d in expansion.digits)
-    assert sum(d * b**i for i, d in enumerate(expansion.digits)) == n
+    assert all(0 <= d < b for d in expansion)
+    assert sum(d * b**i for i, d in enumerate(expansion)) == n
     # no trailing zero unless the value is zero
     if n == 0:
-        assert expansion.digits == (0,)
+        assert expansion == (0,)
     else:
-        assert expansion.digits[-1] != 0
+        assert expansion[-1] != 0
 
 
 def test_digit_sum_examples():
@@ -153,5 +153,5 @@ def test_dominated_set_examples():
 def test_dominated_set_matches_brute_force(n, b):
     got = dominated_set(n, b)
     assert got == brute_dominated(n, b)
-    expected_size = math.prod(d + 1 for d in to_digits(n, b).digits)
+    expected_size = math.prod(d + 1 for d in to_digits(n, b))
     assert len(got) == expected_size

@@ -18,7 +18,6 @@ from sierpmat.ptm import (
     coefficients_by_formula,
     coefficients_by_matrix,
     eigen_poly_annihilation_check,
-    f_poly,
     f_vector,
     factorization,
     m_matrix,
@@ -31,7 +30,6 @@ from sierpmat.ptm import (
     t_matrix,
     u_matrix,
     v_matrix,
-    verify_factorization,
 )
 from sierpmat.sierpinski import s_matrix
 
@@ -277,7 +275,7 @@ def test_coefficients_vanish_on_top_digit():
         a = random_zero_sum(b, rng)
         c = coefficients_by_formula(b, 3, a)
         for n in range(b**3):
-            if (b - 1) in to_digits(n, b).digits:
+            if (b - 1) in to_digits(n, b):
                 assert c[n] == 0, (b, n)
 
 
@@ -294,8 +292,9 @@ def test_classic_binary_factorization():
     a = ZeroSumVector(2, (1, -1))
     c = coefficients_by_formula(2, 3, a)
     assert c[0] == 1 and all(v == 0 for v in c[1:])
-    assert f_poly(2, 3, a) == factorization(2, 3, a)[2] == UniPoly([1, -1, -1, 1, -1, 1, 1, -1])
-    assert verify_factorization(2, 3, a)
+    f, _, product = factorization(2, 3, a)
+    assert UniPoly(f_vector(2, 3, a)) == product == UniPoly([1, -1, -1, 1, -1, 1, 1, -1])
+    assert f == product
 
 
 def test_factorization_product_matches_whole_product_reference():
@@ -331,19 +330,21 @@ def test_factorization_matches_unipoly_product_reference():
 
 
 def test_factorization_examples():
-    assert verify_factorization(3, 2, ZeroSumVector(3, (2, -1, -1)))
+    f, _, product = factorization(3, 2, ZeroSumVector(3, (2, -1, -1)))
+    assert f == product
     rng = Random(20260815)
     for b in (2, 3, 4):
         for depth in (1, 2, 3):
             for _ in range(3):
-                assert verify_factorization(b, depth, random_zero_sum(b, rng))
+                f, _, product = factorization(b, depth, random_zero_sum(b, rng))
+                assert f == product
 
 
 def test_order_of_zero_at_one():
     rng = Random(99)
     for b, depth in ((2, 3), (3, 2), (4, 2)):
         a = random_zero_sum(b, rng)
-        f = f_poly(b, depth, a)
+        f = UniPoly(f_vector(b, depth, a))
         for _ in range(depth):
             assert f.eval(1) == 0
             f = f.derivative()
@@ -376,7 +377,7 @@ def test_base3_corollary_sweep():
         a = random_zero_sum(3, rng)
         c = coefficients_by_formula(3, 3, a)
         for n in range(27):
-            if 2 in to_digits(n, 3).digits:
+            if 2 in to_digits(n, 3):
                 continue
             assert c[n] == _dominated_c(n, a), n
             assert base3_corollary_check(n, a, c[n]), n
