@@ -386,6 +386,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the cap bounds b^depth, not the memory a suite's entries take
+        print("error: out of memory; lower --base or --depth", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 """Exact sparse polynomials in the two variables x and y over rationals.
 
-Coefficients are arbitrary-precision ``fractions.Fraction`` values, exported
-here as ``Rational``. Every operation canonicalizes its result (no stored
-zero coefficients), so structural equality is semantic equality.
+A polynomial is stored as integer numerators over one positive common
+denominator, so products and sums multiply and add Python ints and form no
+``fractions.Fraction``. The form is canonical: no zero numerator, and the
+denominator is coprime to the numerators (1 for the zero polynomial), so
+structural equality is semantic equality. Coefficients are read back as
+``Fraction`` values, exported here as ``Rational``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -26,53 +29,72 @@ class Polynomial:
     Fraction(6, 1)
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
-        clean: dict[tuple[int, int], Fraction] = {}
+        coeffs: dict[tuple[int, int], Fraction] = {}
         for (ex, ey), c in (terms or {}).items():
             if ex < 0 or ey < 0:
                 raise ValueError(f"exponents must be non-negative, got ({ex}, {ey})")
             c = Fraction(c)
             if c:
-                clean[(ex, ey)] = c
-        self._terms = clean
+                coeffs[(ex, ey)] = c
+        nums, self._den = over_common_denominator(list(coeffs.values()), "coefficient")
+        self._num = dict(zip(coeffs, nums))
 
     @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], Fraction]) -> Polynomial:
-        # internal fast path: terms already canonical
+    def _raw(cls, num: dict[tuple[int, int], int], den: int = 1) -> Polynomial:
+        # internal fast path: num over den already canonical
         p = object.__new__(cls)
-        p._terms = terms
+        p._num = num
+        p._den = den
         return p
 
     @classmethod
+    def _reduced(cls, num: dict[tuple[int, int], int], den: int) -> Polynomial:
+        # num has no zero value; divide out the common factor of num and den
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {key: c // g for key, c in num.items()}
+                den //= g
+        return cls._raw(num, den)
+
+    @classmethod
     def constant(cls, c) -> Polynomial:
-        return cls({(0, 0): Fraction(c)})
+        if not isinstance(c, _SCALARS):
+            c = Fraction(c)
+        return cls._raw({(0, 0): c.numerator} if c else {}, c.denominator)
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {key: Fraction(c, den) for key, c in self._num.items()}
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __add__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            s = terms.get(key, 0) + c
+        # one rescale to the lcm of the denominators, none when they agree
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
+        num = dict(self._num) if fa == 1 else {key: c * fa for key, c in self._num.items()}
+        for key, c in other._num.items():
+            s = num.get(key, 0) + c * fb
             if s:
-                terms[key] = s
+                num[key] = s
             else:
-                terms.pop(key, None)
-        return type(self)._raw(terms)
+                del num[key]
+        return type(self)._reduced(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)._raw({key: -c for key, c in self._terms.items()})
+        return type(self)._raw({key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -90,18 +112,18 @@ class Polynomial:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return type(self)._raw({})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ax, ay), ac in self._terms.items():
-            for (bx, by), bc in other._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (ax, ay), ac in self._num.items():
+            for (bx, by), bc in other._num.items():
                 key = (ax + bx, ay + by)
                 s = out.get(key, 0) + ac * bc
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return type(self)._raw(out)
+                    del out[key]
+        return type(self)._reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -117,42 +139,46 @@ class Polynomial:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        if not self._terms:
+        num = self._num
+        if not num:
             return 0  # hash(0) == hash(Fraction(0)), without building one
-        if len(self._terms) == 1 and (0, 0) in self._terms:
+        if len(num) == 1 and (0, 0) in num:
             # constants hash like their scalar value
-            return hash(self._terms[(0, 0)])
-        return hash(frozenset(self._terms.items()))
+            c = num[(0, 0)]
+            return hash(c) if self._den == 1 else hash(Fraction(c, self._den))
+        return hash((frozenset(num.items()), self._den))
 
     def eval(self, x0, y0=0) -> Fraction:
         """Exact evaluation at a rational point; a ring homomorphism.
 
         Sparse Horner: one step per term in x within each power of y, then
         one step per power of y, so x^1000 + 1 costs two steps, not 1000.
+        The numerators are summed first and divided by the denominator once.
         """
         x0 = Fraction(x0)
-        rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for (ex, ey), c in self._terms.items():
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (ex, ey), c in self._num.items():
             rows.setdefault(ey, []).append((ex, c))
-        return _horner([(ey, _horner(row, x0)) for ey, row in rows.items()], Fraction(y0))
+        acc = _horner([(ey, _horner(row, x0)) for ey, row in rows.items()], Fraction(y0))
+        return acc / self._den
 
     def compose(self, px=None, py=None) -> Polynomial:
         """Substitute polynomials (or scalars) for x and y."""
         px = X if px is None else _as_poly_strict(px)
         py = Y if py is None else _as_poly_strict(py)
         total = Polynomial._raw({})
-        for (ex, ey), c in self._terms.items():
+        for (ex, ey), c in self.terms.items():
             total = total + px**ex * py**ey * c
         return total
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         ordered = sorted(
-            self._terms.items(),
+            self.terms.items(),
             key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
             reverse=True,
         )
@@ -183,7 +209,7 @@ class Polynomial:
         return str(self)
 
 
-def _horner(pairs: list[tuple[int, Fraction]], t: Fraction) -> Fraction:
+def _horner(pairs: list[tuple[int, int | Fraction]], t: Fraction) -> Fraction:
     """sum of c * t**e over (e, c) pairs with distinct e: acc = acc * t**gap + c
     down the exponents in descending order."""
     if not pairs:

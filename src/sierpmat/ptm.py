@@ -84,24 +84,26 @@ class UniPoly(Polynomial):
     @property
     def degree(self) -> int:
         """Highest power of x; -1 for the zero polynomial."""
-        return max((i for i, _ in self._terms), default=-1)
+        return max((i for i, _ in self._num), default=-1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Dense ascending coefficients, without trailing zeros."""
         out = [Fraction(0)] * (self.degree + 1)
-        for (i, _), c in self._terms.items():
+        for (i, _), c in self.terms.items():
             out[i] = c
         return tuple(out)
 
     def derivative(self) -> UniPoly:
-        return type(self)._raw({(i - 1, j): i * c for (i, j), c in self._terms.items() if i})
+        return type(self)._reduced(
+            {(i - 1, j): i * c for (i, j), c in self._num.items() if i}, self._den
+        )
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for (i, _), c in sorted(self._terms.items()):
+        for (i, _), c in sorted(self.terms.items()):
             if i == 0:
                 parts.append(str(c))
             elif i == 1:

@@ -66,6 +66,11 @@ def s_numeric(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> Matri
     return kron_power(lambda base: _s_base_at(base, x0), b, depth, cap)
 
 
+def _short(n: int) -> str:
+    # str() refuses ints past 4300 digits; a long one is named by its size
+    return str(n) if n.bit_length() <= 64 else f"<{n.bit_length()}-bit int>"
+
+
 def s_entry(b: int, depth: int, j: int, k: int) -> Polynomial:
     """Closed-form entry: prod_i binom_rising(d_i(j-k), x) when the digits of
     k sit below those of j, else 0."""
@@ -76,6 +81,7 @@ def s_entry(b: int, depth: int, j: int, k: int) -> Polynomial:
         raise ValueError(f"depth must be >= 1, got {depth}")
     dim = b**depth
     if not (0 <= j < dim and 0 <= k < dim):
+        j, k, b, depth = map(_short, (j, k, b, depth))
         raise IndexError(f"entry ({j},{k}) out of range for dimension {b}^{depth}")
     if not dominates(k, j, b):
         return ZERO

@@ -158,6 +158,16 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_memory_error_is_one_line_usage_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "exp", exhausted)
+    code, out, err = run(capsys, "verify", "exp", "--base", "2", "--depth", "2")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory; lower --base or --depth\n"
+
+
 def test_matrix_cap_flag_raises_limit(capsys):
     code, out, _ = run(
         capsys, "matrix", "M", "--base", "2", "--depth", "5", "--cap", "32"

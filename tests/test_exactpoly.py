@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sierpmat.exactpoly import (
     ONE, X, Y, ZERO, Polynomial, binom_rising, over_common_denominator, rising_table
 )
+from sierpmat.matrix import Matrix
 from sierpmat.ptm import UniPoly
 
 rationals = st.fractions(
@@ -210,3 +211,120 @@ def test_over_common_denominator_refuses_non_rational(bad):
     assert str(info.value) == (
         f"expected int or Fraction coefficient entries, got {type(bad).__name__}"
     )
+
+
+# --- integer numerators over one denominator, against {key: Fraction} arithmetic ---
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _ref_neg(a):
+    return {key: -c for key, c in a.items()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (ax, ay), ac in a.items():
+        for (bx, by), bc in b.items():
+            key = (ax + bx, ay + by)
+            s = out.get(key, 0) + ac * bc
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _ref_pow(a, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_compose(a, px, py):
+    out = {}
+    for (ex, ey), c in a.items():
+        term = _ref_mul(_ref_mul(_ref_pow(px, ex), _ref_pow(py, ey)), {(0, 0): c})
+        out = _ref_add(out, term)
+    return out
+
+
+def _assert_canonical(p):
+    num, den = p._num, p._den
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c for c in num.values())
+    assert gcd(den, *num.values()) == 1  # so den == 1 for the zero polynomial
+
+
+@given(p=polynomials, q=polynomials, r=polynomials, c=rationals, n=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_ops_match_fraction_reference(p, q, r, c, n):
+    a, b, e = p.terms, q.terms, r.terms
+    cases = [
+        (p, a),
+        (p + q, _ref_add(a, b)),
+        (p * q, _ref_mul(a, b)),
+        (-p, _ref_neg(a)),
+        (p - q, _ref_add(a, _ref_neg(b))),
+        (p + c, _ref_add(a, {(0, 0): c})),
+        (c * p, _ref_mul(a, {(0, 0): c})),
+        (c - p, _ref_add({(0, 0): c}, _ref_neg(a))),
+        (p**n, _ref_pow(a, n)),
+        (p.compose(q, r), _ref_compose(a, b, e)),
+        (p.compose(py=c), _ref_compose(a, {(1, 0): Fraction(1)}, {(0, 0): c})),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == {key: v for key, v in want.items() if v}
+        assert all(type(v) is Fraction for v in got.terms.values())
+
+
+@given(coeffs=st.lists(rationals, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_unipoly_derivative_is_canonical(coeffs):
+    f = UniPoly(coeffs)
+    d = f.derivative()
+    _assert_canonical(d)
+    assert d.terms == {(i - 1, 0): i * v for (i, _), v in f.terms.items() if i}
+    assert type(d) is UniPoly
+
+
+def test_equal_polynomials_from_different_routes_hash_alike():
+    sixth = Fraction(1, 6)
+    want = X**2 - 1
+    routes = [
+        (X + 1) * (X - 1),
+        (X * sixth + sixth) * (6 * X - 6),
+        (6 * X + 6) * (X * sixth - sixth),
+        (X + 1) * sixth * (X - 1) * 6,
+        X * X * Fraction(5, 6) + X**2 * sixth - sixth * 6,
+        Polynomial({(2, 0): Fraction(3, 3), (0, 0): -1}),
+        UniPoly([-1, 0, 1]),
+    ]
+    for p in routes:
+        assert p == want and hash(p) == hash(want)
+        assert (p._num, p._den) == (want._num, want._den)
+    scaled = [want * sixth, (X + 1) * (X * sixth - sixth), X**2 * sixth - sixth]
+    for p in scaled:
+        assert p == scaled[0] and hash(p) == hash(scaled[0])
+        assert (p._num, p._den) == ({(2, 0): 1, (0, 0): -1}, 6)
+    calls = []
+    Matrix([[routes[0], routes[1]], [scaled[0], scaled[1]]]).map(lambda e: calls.append(e) or e)
+    assert calls == [want, want * sixth]
+
+
+@pytest.mark.parametrize("c", [0, 1, -7, 2**70, Fraction(3, 4), Fraction(-5, 6), Fraction(2**70, 3)])
+def test_constants_hash_like_their_scalar(c):
+    for p in (Polynomial.constant(c), ZERO + c, X * 0 + c, (X + c) - X, ONE * c):
+        assert hash(p) == hash(Fraction(c)) == hash(c)
+        assert p == c and p.terms == ({(0, 0): Fraction(c)} if c else {})

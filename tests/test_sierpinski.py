@@ -157,6 +157,13 @@ def test_s_entry_at_huge_depth():
         s_entry(2, 10**6, 0, -1)
 
 
+def test_s_entry_index_error_for_indices_past_str_limit():
+    # 2**10**6 has 301030 digits, past the 4300 str() accepts
+    with pytest.raises(IndexError) as info:
+        s_entry(2, 10**6, 2**10**6, 0)
+    assert str(info.value) == "entry (<1000001-bit int>,0) out of range for dimension 2^1000000"
+
+
 def test_s_numeric_matches_symbolic_eval():
     for b, depth in ((2, 3), (3, 2)):
         x0 = Fraction(3, 2)
