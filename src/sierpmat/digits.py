@@ -12,6 +12,12 @@ def _check_base(b: int) -> None:
         raise ValueError(f"base must be >= 2, got {b}")
 
 
+def _check_depth(depth: int) -> None:
+    # depth counts base-b digit positions, the Kronecker factors of a family
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+
+
 def to_digits(n: int, b: int) -> tuple[int, ...]:
     """The base-b digits of n, least significant first; (0,) for zero."""
     _check_base(b)

@@ -19,15 +19,15 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Optional, Sequence
 
+from .digits import _check_base, _check_depth
+
 DEFAULT_CAP = 4096
 
 
 def checked_dim(b: int, depth: int, cap: int = DEFAULT_CAP) -> int:
     """Validate a (base, depth) pair and return b**depth, guarding blowup."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_base(b)
+    _check_depth(depth)
     # stop as soon as cap is passed, so a huge depth builds no huge integer
     dim = 1
     for _ in range(depth):

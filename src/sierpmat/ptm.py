@@ -17,7 +17,7 @@ from operator import sub
 from random import Random
 from typing import Optional, Sequence
 
-from .digits import dominated_set, parity_w, ptm, to_digits
+from .digits import _check_base, dominated_set, parity_w, ptm, to_digits
 from .exactpoly import Polynomial, over_common_denominator
 from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
 from .sierpinski import KroneckerChain, structured_apply
@@ -54,8 +54,7 @@ class ZeroSumVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+        _check_base(self.base)
         entries = tuple(Fraction(e) for e in self.entries)
         if len(entries) != self.base:
             raise ValueError(
@@ -243,8 +242,7 @@ def power_relation_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> bool:
 def eigen_poly_annihilation_check(b: int) -> bool:
     """p(r) = -1 + r - r^2 + ... + (-1)^(b+1) r^b kills both depth-1
     generator products (their eigenvalues are exactly the roots of p)."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
+    _check_base(b)
     zero = Matrix([[0] * b for _ in range(b)])
     for mat in (u_matrix(b, 1), v_matrix(b, 1)):
         acc = Matrix.identity(b) * (-1)

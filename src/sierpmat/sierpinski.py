@@ -16,7 +16,9 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .digits import _padded_digits, dominated_set, dominates, multiplicity, to_digits
+from .digits import (
+    _check_base, _check_depth, _padded_digits, dominated_set, dominates, multiplicity, to_digits
+)
 from .exactpoly import (
     ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, over_common_denominator, rising_table
 )
@@ -46,8 +48,7 @@ __all__ = [
 
 def s_base(b: int) -> Matrix:
     """b x b lower-triangular seed: entry (j,k) = binom_rising(j-k, x)."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
+    _check_base(b)
     table = rising_table(b - 1, X)
     return Matrix([[table[j - k] if j >= k else ZERO for k in range(b)] for j in range(b)])
 
@@ -75,10 +76,8 @@ def s_entry(b: int, depth: int, j: int, k: int) -> Polynomial:
     """Closed-form entry: prod_i binom_rising(d_i(j-k), x) when the digits of
     k sit below those of j, else 0."""
     # checked_dim's checks without its cap: one entry costs O(depth) at any b**depth
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_base(b)
+    _check_depth(depth)
     dim = b**depth
     if not (0 <= j < dim and 0 <= k < dim):
         j, k, b, depth = map(_short, (j, k, b, depth))
@@ -205,8 +204,7 @@ def stirling_identity_check(l: int, n: int) -> bool:
 
 def x_base(b: int) -> Matrix:
     """Strictly lower-triangular generator seed: entry (j,k) = x/(j-k)."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
+    _check_base(b)
     return Matrix(
         [
             [X * Fraction(1, j - k) if j > k else ZERO for k in range(b)]
@@ -229,20 +227,27 @@ def x_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
     return acc
 
 
-def x_power_entry_check(b: int, n: int) -> bool:
-    """Compare x_base(b)^n against its closed form
-    (n!/(j-k)!) c(j-k, n) x^n for j >= k+n, zero elsewhere."""
-    if not 1 <= n <= b - 1:
-        raise ValueError(f"need 1 <= n <= b-1, got b={b}, n={n}")
-    xn = X**n
+def x_power_entry_check(b: int) -> tuple[bool, Optional[int]]:
+    """Compare each power x_base(b)^n, 1 <= n <= b-1, against its closed
+    form (n!/(j-k)!) c(j-k, n) x^n for j >= k+n, zero elsewhere.
 
-    def entry(d: int) -> Polynomial:
-        if d < n:
-            return ZERO
-        return xn * (Fraction(factorial(n), factorial(d)) * stirling_first(d, n))
-
-    closed = Matrix([[entry(j - k) for k in range(b)] for j in range(b)])
-    return x_base(b).power(n) == closed
+    Each power is the previous one times x_base(b), b - 2 products in all,
+    and each closed form is built once per difference j - k. Returns
+    (True, None) or (False, n) for the first n whose power differs.
+    """
+    seed = x_base(b)
+    power = seed
+    for n in range(1, b):
+        if n > 1:
+            power = power * seed
+        xn = X**n
+        by_diff = [ZERO] * n + [
+            xn * (Fraction(factorial(n), factorial(d)) * stirling_first(d, n)) for d in range(n, b)
+        ]
+        closed = Matrix([[by_diff[j - k] if j >= k else ZERO for k in range(b)] for j in range(b)])
+        if power != closed:
+            return False, n
+    return True, None
 
 
 def matrix_exp_nilpotent(x_mat: Matrix) -> Matrix:
@@ -272,8 +277,7 @@ class KroneckerChain:
     def __post_init__(self):
         if self.base_factor.nrows != self.base_factor.ncols:
             raise ValueError("chain factor must be square")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        _check_depth(self.depth)
 
     @property
     def dim(self) -> int:

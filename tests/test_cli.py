@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sierpmat
-from sierpmat import cli
+from sierpmat import cli, ptm, sierpinski, suites
 from sierpmat.exactpoly import X, Y
 from sierpmat.ptm import UniPoly, braid_products, factorization, power_sums, random_zero_sum
 from sierpmat.sierpinski import digital_binomial_sides, multiplicity_identity_sides
@@ -91,8 +91,8 @@ def test_matrix_csv_symbolic_rejected(capsys):
 @pytest.mark.parametrize("kind", ["S", "X"])
 def test_matrix_csv_symbolic_refused_before_build(capsys, monkeypatch, kind):
     built = []
-    monkeypatch.setattr(cli, "s_matrix", lambda *a: built.append("S"))
-    monkeypatch.setattr(cli, "x_matrix", lambda *a: built.append("X"))
+    monkeypatch.setattr(sierpinski, "s_matrix", lambda *a: built.append("S"))
+    monkeypatch.setattr(sierpinski, "x_matrix", lambda *a: built.append("X"))
     code, out, _ = run(capsys, "matrix", kind, "--depth", "12", "--format", "csv")
     assert code == 2 and out == "" and built == []
 
@@ -101,7 +101,7 @@ def test_matrix_csv_symbolic_refused_before_build(capsys, monkeypatch, kind):
 def test_matrix_eval_refused_for_integer_kinds(capsys, monkeypatch, kind):
     built = []
     for name in ("m_matrix", "t_matrix", "u_matrix", "v_matrix"):
-        monkeypatch.setattr(cli, name, lambda *a, name=name: built.append(name))
+        monkeypatch.setattr(ptm, name, lambda *a, name=name: built.append(name))
     code, out, err = run(capsys, "matrix", kind, "--base", "2", "--depth", "1", "--eval", "7/3")
     assert (code, out, built) == (2, "", [])
     assert err == "error: --eval applies only to S and X\n"
@@ -159,10 +159,10 @@ def test_zero_denominator_is_usage_error(capsys, argv):
 
 
 def test_memory_error_is_one_line_usage_error(capsys, monkeypatch):
-    def exhausted(args):
+    def exhausted(b, depth, cap, seed):
         raise MemoryError
 
-    monkeypatch.setitem(cli._SUITE_RUNNERS, "exp", exhausted)
+    monkeypatch.setitem(suites.SUITES, "exp", exhausted)
     code, out, err = run(capsys, "verify", "exp", "--base", "2", "--depth", "2")
     assert code == 2 and out == ""
     assert err == "error: out of memory; lower --base or --depth\n"
@@ -228,7 +228,7 @@ def test_verify_relations_b2_forms_braid_products_once(capsys, monkeypatch):
         calls.append(args)
         return braid_products(*args)
 
-    monkeypatch.setattr(cli, "braid_products", counted)
+    monkeypatch.setattr(ptm, "braid_products", counted)
     code, out, _ = run(capsys, "verify", "relations", "--base", "2", "--depth", "3")
     assert code == 0
     assert calls == [(2, 3, cli.DEFAULT_CAP)]
@@ -272,9 +272,9 @@ def test_verify_all_b3_includes_corollary(capsys):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli._SUITE_RUNNERS,
+        suites.SUITES,
         "exp",
-        lambda cfg: [{"name": "exp-recovers-s", "base": cfg.base, "depth": cfg.depth, "status": "fail"}],
+        lambda b, depth, cap, seed: [suites.Check("exp-recovers-s", "fail")],
     )
     code, out, _ = run(capsys, "verify", "exp", "--base", "2", "--depth", "2")
     assert code == 1
@@ -282,7 +282,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_witness_strings(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_one_parameter", lambda b, n, cap: (False, (1, 0, X, Y)))
+    monkeypatch.setattr(sierpinski, "verify_one_parameter", lambda b, n, cap: (False, (1, 0, X, Y)))
     code, out, _ = run(capsys, "verify", "one-parameter", "--base", "2", "--depth", "1")
     assert code == 1
     witness = json.loads(out)["checks"][0]["witness"]
@@ -317,7 +317,7 @@ def test_zero_order_witness_matches_derivative_reference(capsys, monkeypatch, b,
                 f = f.derivative()
         return None
 
-    monkeypatch.setattr(cli, "factorization", fake_factorization)
+    monkeypatch.setattr(ptm, "factorization", fake_factorization)
     code, out, _ = run(capsys, "verify", "factorization", "--base", str(b), "--depth", str(depth))
     assert code == 1 and len(perturbed) == 20
     row = next(c for c in json.loads(out)["checks"] if c["name"] == "zero-order-at-one")
@@ -359,17 +359,19 @@ def test_verify_sweep_witnesses_are_first_failures(capsys, monkeypatch):
         table[2][0] += 1
         return table
 
-    monkeypatch.setattr(cli, "digital_binomial_sides", shifted(digital_binomial_sides, {2, 5}))
+    monkeypatch.setattr(sierpinski, "digital_binomial_sides", shifted(digital_binomial_sides, {2, 5}))
     monkeypatch.setattr(
-        cli, "multiplicity_identity_sides", shifted(multiplicity_identity_sides, {1, 7})
+        sierpinski, "multiplicity_identity_sides", shifted(multiplicity_identity_sides, {1, 7})
     )
-    monkeypatch.setattr(cli, "stirling_identity_check", lambda l, n: (l, n) not in {(4, 2), (4, 3), (5, 1)})
-    monkeypatch.setattr(cli, "x_power_entry_check", lambda b, n: n != 2)
-    monkeypatch.setattr(cli, "factorization", fake_factorization)
     monkeypatch.setattr(
-        cli, "base3_corollary_check", lambda n, a, c_n: not (a in vectors[1:3] and n in (3, 4))
+        sierpinski, "stirling_identity_check", lambda l, n: (l, n) not in {(4, 2), (4, 3), (5, 1)}
     )
-    monkeypatch.setattr(cli, "power_sums", fake_power_sums)
+    monkeypatch.setattr(sierpinski, "x_power_entry_check", lambda b: (False, 2))
+    monkeypatch.setattr(ptm, "factorization", fake_factorization)
+    monkeypatch.setattr(
+        ptm, "base3_corollary_check", lambda n, a, c_n: not (a in vectors[1:3] and n in (3, 4))
+    )
+    monkeypatch.setattr(ptm, "power_sums", fake_power_sums)
 
     code, out, _ = run(capsys, "verify", "all", "--base", "3", "--depth", "2")
     assert code == 1
@@ -410,8 +412,10 @@ def test_verify_sweep_witnesses_are_first_failures(capsys, monkeypatch):
 )
 def test_verify_checks_cap_before_any_suite(capsys, monkeypatch, argv):
     ran = []
-    for name in cli._SUITE_RUNNERS:
-        monkeypatch.setitem(cli._SUITE_RUNNERS, name, lambda cfg, name=name: ran.append(name) or [])
+    for name in suites.SUITES:
+        monkeypatch.setitem(
+            suites.SUITES, name, lambda b, depth, cap, seed, name=name: ran.append(name) or []
+        )
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and ran == []
     assert "exceeds cap" in err
@@ -531,7 +535,7 @@ def test_bad_base_or_depth_is_usage_error(capsys, command, flag, value, message)
 
 _COMMANDS = st.sampled_from(
     [("matrix", kind) for kind in ("S", "X", "M", "T", "U", "V", "Z")]
-    + [("verify", suite) for suite in (*cli.SUITES, "nope")]
+    + [("verify", suite) for suite in (*suites.SUITES, "all", "nope")]
     + [("ptm", f"--zero-sum={a}") for a in ("1,-1", "1,1,-2", "1/0,1", "x", "", "1,,1")]
     + [("ptm",), ("bogus",)]
 )

@@ -7,7 +7,8 @@ moved to integer arithmetic, and the factorization runs at (3, 6), (4, 4)
 and (5, 3), json and text, before the factorization check stopped forming
 the whole product prod(1 - x^(b^m)) and the derivatives of F; the exp run
 at (2, 8) and the one-parameter run at (3, 5) before Matrix stored only
-nonzeros. The `matrix U ... --eval` row pins a refusal (exit 2, empty
+nonzeros; the stirling run at (12, 1) before the x-power sweep built
+each power from the previous one. The `matrix U ... --eval` row pins a refusal (exit 2, empty
 stdout). So a change that alters any printed byte of these runs fails here. To re-pin after an intended output change, print
 the new digests with `_run` and review the output diff first.
 """
@@ -51,6 +52,7 @@ GOLDEN = [
     ("verify factorization --base 5 --depth 3 --format text", 0, "4a08f0921b4fff4220cf792c116814a5a3a8151fc34cf4c66909a367ea8402c3"),
     ("verify exp --base 2 --depth 8", 0, "550cccd948508ff257e0e05dfae4583488c88c366695f9301c7333468020ceae"),
     ("verify one-parameter --base 3 --depth 5", 0, "901c6620573e7a14c6d1fce90acace737669655e4e617d4006ed0c5aea1404be"),
+    ("verify stirling --base 12 --depth 1", 0, "338feac1b2c961d99289df5b24d583a952ba141ca63d45c19ad4ab5dc6590654"),
     ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matrix U --base 2 --depth 1 --eval 7/3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sierpmat import sierpinski
 from sierpmat.digits import digit_sum, dominated_set, dominates, multiplicity, to_digits
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising
 from sierpmat.matrix import Matrix
@@ -409,18 +410,39 @@ def test_x_matrix_nilpotency_bound_is_sharp(b, depth):
 
 @pytest.mark.parametrize("b", [2, 3, 4, 5, 6])
 def test_x_power_entries(b):
-    for n in range(1, b):
-        assert x_power_entry_check(b, n)
+    assert x_power_entry_check(b) == (True, None)
+
+
+@pytest.mark.parametrize("b", [3, 4, 5, 6])
+def test_x_power_sweep_builds_each_power_from_the_last(monkeypatch, b):
+    """x_base(b)^n for n = 2..b-1 takes one product each, b - 2 in all;
+    a power rebuilt per n would take (b-1)(b-2)/2."""
+    products = 0
+    mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += isinstance(other, Matrix)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    assert x_power_entry_check(b) == (True, None)
+    assert products == b - 2
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (4, 2), (5, 3), (5, 5)])
+def test_x_power_witness_is_first_wrong_power(monkeypatch, d, n):
+    def wrong_at_one_cell(dd, nn):
+        return stirling_first(dd, nn) + ((dd, nn) == (d, n))
+
+    monkeypatch.setattr(sierpinski, "stirling_first", wrong_at_one_cell)
+    assert x_power_entry_check(6) == (False, n)
 
 
 def test_x_power_entry_spot_value():
     # entry (3,0) of x_base(4)^2: (2!/3!) c(3,2) x^2 = x^2 since c(3,2)=3
     m = x_base(4).power(2)
     assert m[3, 0] == x2
-    with pytest.raises(ValueError):
-        x_power_entry_check(4, 0)
-    with pytest.raises(ValueError):
-        x_power_entry_check(4, 4)
 
 
 def test_matrix_exp_zero_is_identity():
