@@ -7,10 +7,9 @@ import importlib
 from . import digits, exactpoly, matrix, ptm, sierpinski
 from .digits import carry_free, digit_sum, dominated_set, dominates
 from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising
-from .matrix import DEFAULT_CAP, Matrix, checked_dim
+from .matrix import DEFAULT_CAP, KroneckerChain, Matrix, checked_dim
 from .ptm import UniPoly, ZeroSumVector
 from .sierpinski import (
-    KroneckerChain,
     matrix_exp_nilpotent,
     s_chain,
     s_entry,

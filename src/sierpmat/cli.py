@@ -141,7 +141,6 @@ def _add_common(parser, with_eval=False, with_zero_sum=False):
     parser.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for random vectors")
     if with_eval:
         parser.add_argument(
             "--eval", metavar="X0", help="evaluate x at this rational, e.g. 1 or 3/2"
@@ -170,6 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an identity-verification suite")
     p_verify.add_argument("suite", choices=(*suites.SUITES, "all"))
     _add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for random vectors")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ptm = sub.add_parser("ptm", help="factor a coefficient polynomial")

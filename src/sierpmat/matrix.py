@@ -15,6 +15,7 @@ hashable. `rows` is a dense view, built on each access.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 from typing import Callable, Optional, Sequence
@@ -35,22 +36,6 @@ def checked_dim(b: int, depth: int, cap: int = DEFAULT_CAP) -> int:
         if dim > cap:
             raise ValueError(f"dimension {b}^{depth} exceeds cap {cap}")
     return dim
-
-
-def kron_power(
-    seed: Callable[[int], Matrix], b: int, depth: int, cap: int = DEFAULT_CAP
-) -> Matrix:
-    """depth-fold Kronecker power of the b x b matrix seed(b).
-
-    The cap is checked before seed(b) runs, so an oversized base is refused
-    without building its seed.
-    """
-    checked_dim(b, depth, cap)
-    base = seed(b)
-    acc = base
-    for _ in range(depth - 1):
-        acc = base.kron(acc)
-    return acc
 
 
 class Matrix:
@@ -269,3 +254,37 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})\n{self}"
+
+
+@dataclass(frozen=True)
+class KroneckerChain:
+    """The depth-fold Kronecker power of a square seed, held as (seed, depth);
+    every family here but the Kronecker sum X(x) is one."""
+
+    base_factor: Matrix
+    depth: int
+
+    def __post_init__(self):
+        if self.base_factor.nrows != self.base_factor.ncols:
+            raise ValueError("chain factor must be square")
+        _check_depth(self.depth)
+
+    @property
+    def dim(self) -> int:
+        return self.base_factor.nrows**self.depth
+
+    def dense(self) -> Matrix:
+        """The power itself: seed (x) (seed (x) ... seed)."""
+        acc = self.base_factor
+        for _ in range(self.depth - 1):
+            acc = self.base_factor.kron(acc)
+        return acc
+
+
+def kron_chain(
+    seed: Callable[[int], Matrix], b: int, depth: int, cap: int = DEFAULT_CAP
+) -> KroneckerChain:
+    """The chain of the b x b matrix seed(b), depth deep. The cap is checked
+    before seed(b) runs, so an oversized base is refused without building it."""
+    checked_dim(b, depth, cap)
+    return KroneckerChain(seed(b), depth)

@@ -5,8 +5,10 @@ A[digit_sum(n) mod b]. F factors as P * prod_{m<N} (1 - x^(b^m)), each a
 UniPoly (a Polynomial in x with a coefficient-list view). P's coefficients
 come from dominated-digit sums or from the integer Sierpinski matrix, two
 routes kept apart to be checked against each other. Also here: the bidiagonal
-factor matrix M, the generator pair products U = S T^t and V = T^t S, their
-power relations, and equal-power-sum partitions of {0, ..., b^(M+1) - 1}.
+factor matrix M, the generator pair products U = S T and V = T S with
+T = M^t, their power relations, and equal-power-sum partitions of
+{0, ..., b^(M+1) - 1}. Each family is the Kronecker power of its b x b
+seed, and the seed of U, V or a braid product is the product of seeds.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Optional, Sequence
 
 from .digits import _check_base, dominated_set, parity_w, ptm, to_digits
 from .exactpoly import Polynomial, over_common_denominator
-from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
-from .sierpinski import KroneckerChain, structured_apply
+from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_chain
+from .sierpinski import structured_apply
 
 __all__ = [
     "ZeroSumVector",
@@ -123,24 +125,37 @@ def _m_base(b: int) -> Matrix:
     )
 
 
+def _t_base(b: int) -> Matrix:
+    return _m_base(b).transpose()
+
+
 def _s_int_base(b: int) -> Matrix:
     return Matrix([[1 if j >= k else 0 for k in range(b)] for j in range(b)])
+
+
+def _u_base(b: int) -> Matrix:
+    return _s_int_base(b) * _t_base(b)
+
+
+def _v_base(b: int) -> Matrix:
+    return _t_base(b) * _s_int_base(b)
 
 
 def m_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
     """Kronecker power of the bidiagonal seed (1 on the diagonal, -1 just
     below it); inverse of s_int."""
-    return kron_power(_m_base, b, depth, cap)
+    return kron_chain(_m_base, b, depth, cap).dense()
 
 
 def t_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    return m_matrix(b, depth, cap).transpose()
+    """Kronecker power of M_1^t, the transpose of m_matrix."""
+    return kron_chain(_t_base, b, depth, cap).dense()
 
 
 def s_int(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
     """Kronecker power of the lower-triangular all-ones seed; the 0/1
     dominance-pattern matrix, and the x = 1 value of the symbolic family."""
-    return kron_power(_s_int_base, b, depth, cap)
+    return kron_chain(_s_int_base, b, depth, cap).dense()
 
 
 def f_vector(b: int, depth: int, a: ZeroSumVector, cap: int = DEFAULT_CAP) -> list[Fraction]:
@@ -168,8 +183,7 @@ def coefficients_by_matrix(
     """Same vector via the matrix route c = S a, with S = s_int(b, depth)
     applied factor by factor as a Kronecker chain, never built densely; kept
     separate from the dominated-sum route so the two can be cross-checked."""
-    checked_dim(b, depth, cap)
-    return structured_apply(KroneckerChain(_s_int_base(b), depth), f_vector(b, depth, a, cap))
+    return structured_apply(kron_chain(_s_int_base, b, depth, cap), f_vector(b, depth, a, cap))
 
 
 def factorization(
@@ -221,22 +235,21 @@ def power_sums(sets: Sequence[Sequence[int]], max_degree: int) -> list[list[int]
 
 
 def u_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    return s_int(b, depth, cap) * t_matrix(b, depth, cap)
+    """U = S T, the Kronecker power of the seed S_1 T_1."""
+    return kron_chain(_u_base, b, depth, cap).dense()
 
 
 def v_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    return t_matrix(b, depth, cap) * s_int(b, depth, cap)
+    """V = T S, the Kronecker power of the seed T_1 S_1."""
+    return kron_chain(_v_base, b, depth, cap).dense()
 
 
 def power_relation_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> bool:
     """U^(b+1) == V^(b+1) == (-1)^(depth*(b+1)) * I, exactly."""
-    dim = checked_dim(b, depth, cap)
+    u = u_matrix(b, depth, cap)
     sign = -1 if (depth * (b + 1)) % 2 else 1
-    target = Matrix.identity(dim, one=sign)
-    return (
-        u_matrix(b, depth, cap).power(b + 1) == target
-        and v_matrix(b, depth, cap).power(b + 1) == target
-    )
+    target = Matrix.identity(u.nrows, one=sign)
+    return u.power(b + 1) == target and v_matrix(b, depth, cap).power(b + 1) == target
 
 
 def eigen_poly_annihilation_check(b: int) -> bool:
@@ -256,32 +269,24 @@ def eigen_poly_annihilation_check(b: int) -> bool:
 
 
 def braid_products(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[Matrix, Matrix]:
-    """(S T S, T S T) for S = s_int(b, depth) and T = t_matrix(b, depth)."""
-    s = s_int(b, depth, cap)
-    t = t_matrix(b, depth, cap)
-    return s * t * s, t * s * t
+    """(S T S, T S T) for S = s_int(b, depth) and T = t_matrix(b, depth): the
+    Kronecker powers of the seeds S_1 T_1 S_1 and T_1 S_1 T_1."""
+    sts = kron_chain(lambda base: _u_base(base) * _s_int_base(base), b, depth, cap).dense()
+    tst = kron_chain(lambda base: _v_base(base) * _t_base(base), b, depth, cap).dense()
+    return sts, tst
 
 
-def braid_check(
-    b: int,
-    depth: int,
-    cap: int = DEFAULT_CAP,
-    products: Optional[tuple[Matrix, Matrix]] = None,
-) -> tuple[bool, Optional[tuple[int, int, Fraction, Fraction]]]:
+def braid_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[bool, Optional[tuple]]:
     """Does S T S == T S T? True for b = 2, false for b > 2; on failure the
-    witness is (row, col, lhs, rhs) of the first row-major mismatch.
-    products is braid_products(b, depth, cap), built here when not given."""
-    sts, tst = products or braid_products(b, depth, cap)
+    witness is (row, col, lhs, rhs) of the first row-major mismatch."""
+    sts, tst = braid_products(b, depth, cap)
     mismatch = sts.first_mismatch(tst)
     return mismatch is None, mismatch
 
 
-def square_relation_check(
-    depth: int, cap: int = DEFAULT_CAP, products: Optional[tuple[Matrix, Matrix]] = None
-) -> bool:
-    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly.
-    products is braid_products(2, depth, cap), built here when not given."""
-    q, r = products or braid_products(2, depth, cap)
+def square_relation_check(depth: int, cap: int = DEFAULT_CAP) -> bool:
+    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly."""
+    q, r = braid_products(2, depth, cap)
     target = Matrix.identity(q.nrows, one=-1 if depth % 2 else 1)
     return q.power(2) == target and r.power(2) == target
 

@@ -9,7 +9,6 @@ two routes are checked against each other in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial
@@ -22,7 +21,7 @@ from .digits import (
 from .exactpoly import (
     ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, over_common_denominator, rising_table
 )
-from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
+from .matrix import DEFAULT_CAP, KroneckerChain, Matrix, checked_dim, kron_chain
 
 __all__ = [
     "s_base",
@@ -40,7 +39,6 @@ __all__ = [
     "x_matrix",
     "x_power_entry_check",
     "matrix_exp_nilpotent",
-    "KroneckerChain",
     "s_chain",
     "structured_apply",
 ]
@@ -53,18 +51,19 @@ def s_base(b: int) -> Matrix:
     return Matrix([[table[j - k] if j >= k else ZERO for k in range(b)] for j in range(b)])
 
 
-def _s_base_at(b: int, x0: Rational) -> Matrix:
-    return s_base(b).map(lambda p: p.eval(x0))
-
-
 def s_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
     """The depth-fold Kronecker power of s_base(b)."""
-    return kron_power(s_base, b, depth, cap)
+    return kron_chain(s_base, b, depth, cap).dense()
+
+
+def s_chain(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> KroneckerChain:
+    """S(x0) as the chain of s_base(b) with x evaluated at x0 (Fractions)."""
+    return kron_chain(lambda base: s_base(base).map(lambda p: p.eval(x0)), b, depth, cap)
 
 
 def s_numeric(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> Matrix:
-    """Same matrix with x evaluated at x0, built numerically (Fractions)."""
-    return kron_power(lambda base: _s_base_at(base, x0), b, depth, cap)
+    """Same matrix as s_matrix with x evaluated at x0, built numerically."""
+    return s_chain(b, depth, x0, cap).dense()
 
 
 def _short(n: int) -> str:
@@ -265,29 +264,6 @@ def matrix_exp_nilpotent(x_mat: Matrix) -> Matrix:
             break
         result = result + term
     return result
-
-
-@dataclass(frozen=True)
-class KroneckerChain:
-    """A Kronecker power held as (factor, depth) without materializing it."""
-
-    base_factor: Matrix
-    depth: int
-
-    def __post_init__(self):
-        if self.base_factor.nrows != self.base_factor.ncols:
-            raise ValueError("chain factor must be square")
-        _check_depth(self.depth)
-
-    @property
-    def dim(self) -> int:
-        return self.base_factor.nrows**self.depth
-
-
-def s_chain(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> KroneckerChain:
-    """Chain form of s_numeric(b, depth, x0)."""
-    checked_dim(b, depth, cap)
-    return KroneckerChain(_s_base_at(b, x0), depth)
 
 
 def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:

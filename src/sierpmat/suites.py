@@ -141,12 +141,10 @@ def relations(b: int, depth: int, cap: int, seed: int) -> list[Check]:
         _check("power-relation", ptm.power_relation_check(b, depth, cap)),
         _check("eigen-annihilation", ptm.eigen_poly_annihilation_check(b)),
     ]
-    # S T S and T S T are formed once, for the braid and the square relation
-    products = ptm.braid_products(b, depth, cap)
-    braid_ok, mismatch = ptm.braid_check(b, depth, cap, products)
+    braid_ok, mismatch = ptm.braid_check(b, depth, cap)
     if b == 2:
         rows.append(_check("braid", braid_ok))
-        rows.append(_check("square-relation", ptm.square_relation_check(depth, cap, products)))
+        rows.append(_check("square-relation", ptm.square_relation_check(depth, cap)))
     else:
         # the braid relation must fail above base 2; report the witness
         detail = _entry_witness(mismatch) or {"reason": "braid relation unexpectedly holds"}

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import sierpmat
 from sierpmat import cli, ptm, sierpinski, suites
 from sierpmat.exactpoly import X, Y
-from sierpmat.ptm import UniPoly, braid_products, factorization, power_sums, random_zero_sum
+from sierpmat.ptm import UniPoly, factorization, power_sums, random_zero_sum
 from sierpmat.sierpinski import digital_binomial_sides, multiplicity_identity_sides
 
 
@@ -219,20 +219,6 @@ def test_verify_relations_b2(capsys):
     names = [c["name"] for c in report["checks"]]
     assert names == ["power-relation", "eigen-annihilation", "braid", "square-relation"]
     assert all(c["status"] == "pass" for c in report["checks"])
-
-
-def test_verify_relations_b2_forms_braid_products_once(capsys, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return braid_products(*args)
-
-    monkeypatch.setattr(ptm, "braid_products", counted)
-    code, out, _ = run(capsys, "verify", "relations", "--base", "2", "--depth", "3")
-    assert code == 0
-    assert calls == [(2, 3, cli.DEFAULT_CAP)]
-    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
 
 
 def test_verify_all_b2(capsys):
@@ -509,6 +495,21 @@ def test_ptm_requires_zero_sum_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["ptm", "--base", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("matrix", "S", "--depth", "1"), ("ptm", "--zero-sum=1,-1")],
+    ids=["matrix", "ptm"],
+)
+def test_seed_is_refused_where_nothing_reads_it(capsys, argv):
+    # only verify draws random vectors, so only verify takes --seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "verify", "prouhet", "--seed", "1")[0] == 0
 
 
 # -- usage errors ------------------------------------------------------------

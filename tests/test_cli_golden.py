@@ -8,8 +8,10 @@ and (5, 3), json and text, before the factorization check stopped forming
 the whole product prod(1 - x^(b^m)) and the derivatives of F; the exp run
 at (2, 8) and the one-parameter run at (3, 5) before Matrix stored only
 nonzeros; the stirling run at (12, 1) before the x-power sweep built
-each power from the previous one. The `matrix U ... --eval` row pins a refusal (exit 2, empty
-stdout). So a change that alters any printed byte of these runs fails here. To re-pin after an intended output change, print
+each power from the previous one; the relations runs at (2, 8), (3, 5) and
+(4, 3) and the `matrix T` and `matrix V` runs before T, U, V and the braid
+products were built as Kronecker powers of their b x b seeds. The
+`matrix U ... --eval` row pins a refusal (exit 2, empty stdout). So a change that alters any printed byte of these runs fails here. To re-pin after an intended output change, print
 the new digests with `_run` and review the output diff first.
 """
 
@@ -53,6 +55,11 @@ GOLDEN = [
     ("verify exp --base 2 --depth 8", 0, "550cccd948508ff257e0e05dfae4583488c88c366695f9301c7333468020ceae"),
     ("verify one-parameter --base 3 --depth 5", 0, "901c6620573e7a14c6d1fce90acace737669655e4e617d4006ed0c5aea1404be"),
     ("verify stirling --base 12 --depth 1", 0, "338feac1b2c961d99289df5b24d583a952ba141ca63d45c19ad4ab5dc6590654"),
+    ("verify relations --base 2 --depth 8", 0, "dc1d04f1e8da68fb514a5507abc7f56d41875ae65d04d92576b75b661d1b626a"),
+    ("verify relations --base 3 --depth 5", 0, "0ed8466174610e190d41fd30a97025782708784af81fb9df653cf7e1a481db33"),
+    ("verify relations --base 4 --depth 3", 0, "bc8fd8590e1633502d9452a2a8db8e0f8d646293b322bf68fd1eccf58b63c105"),
+    ("matrix T --base 3 --depth 3", 0, "ebec94e81163b05572260ec3d050356c291c1113360eb115a44b552510d53037"),
+    ("matrix V --base 3 --depth 2", 0, "330bf5e437c6249c6f0bb9020bcaf246285d2071b093f40cd5de1d32a148d168"),
     ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matrix U --base 2 --depth 1 --eval 7/3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial
-from sierpmat.matrix import DEFAULT_CAP, Matrix, checked_dim, kron_power
+from sierpmat.matrix import DEFAULT_CAP, Matrix, checked_dim, kron_chain
 from sierpmat.ptm import UniPoly
 
 
@@ -98,21 +98,21 @@ def test_kron_blocks_indexed_by_left_factor():
     assert k[2, 0] == 0 and k[3, 1] == 21
 
 
-def test_kron_power_matches_repeated_kron():
+def test_kron_chain_dense_matches_repeated_kron():
     a = Matrix([[1, 0], [2, 3]])
-    assert kron_power(lambda b: a, 2, 1) == a
-    assert kron_power(lambda b: a, 2, 3) == a.kron(a.kron(a))
-    assert kron_power(lambda b: a, 2, 3, cap=8).nrows == 8
+    assert kron_chain(lambda b: a, 2, 1).dense() == a
+    assert kron_chain(lambda b: a, 2, 3).dense() == a.kron(a.kron(a))
+    assert kron_chain(lambda b: a, 2, 3, cap=8).dense().nrows == 8
 
 
-def test_kron_power_checks_cap_before_building_seed():
+def test_kron_chain_checks_cap_before_building_seed():
     def seed(b):
         raise AssertionError("seed built for an oversized base")
 
     with pytest.raises(ValueError, match="exceeds cap"):
-        kron_power(seed, 5000, 1)
+        kron_chain(seed, 5000, 1)
     with pytest.raises(ValueError, match="exceeds cap"):
-        kron_power(seed, 2, 3, cap=7)
+        kron_chain(seed, 2, 3, cap=7)
 
 
 def test_first_mismatch():

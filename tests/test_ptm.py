@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sierpmat.ptm as ptm_mod
 from sierpmat.digits import digit_sum, dominated_set, dominates, ptm, to_digits
 from sierpmat.exactpoly import X, Polynomial
-from sierpmat.matrix import Matrix
+from sierpmat.matrix import Matrix, kron_chain
 from sierpmat.ptm import (
     UniPoly,
     ZeroSumVector,
@@ -31,7 +31,7 @@ from sierpmat.ptm import (
     u_matrix,
     v_matrix,
 )
-from sierpmat.sierpinski import s_matrix
+from sierpmat.sierpinski import s_matrix, structured_apply
 
 
 # -- ZeroSumVector ----------------------------------------------------------
@@ -244,7 +244,7 @@ def test_coefficient_routes_refuse_past_cap_before_building(route, monkeypatch):
     def built(*args):
         raise AssertionError("built something past the cap")
 
-    for name in ("_s_int_base", "KroneckerChain", "dominated_set", "structured_apply"):
+    for name in ("_s_int_base", "dominated_set", "structured_apply"):
         monkeypatch.setattr(ptm_mod, name, built)
     a = ZeroSumVector(3, (1, 1, -2))
     with pytest.raises(ValueError, match="exceeds cap"):
@@ -437,6 +437,35 @@ def test_u_v_displays_b2():
     assert u_matrix(2, 2).rows[0] == (1, -1, -1, 1)
 
 
+# every (b, N) with b^N <= 729 for b = 2..5
+_DESK_SIZES = [(b, n) for b in (2, 3, 4, 5) for n in range(1, 10) if b**n <= 729]
+
+
+@pytest.mark.parametrize("b, depth", _DESK_SIZES)
+def test_seed_products_match_dense_products(b, depth):
+    # U, V and the braid products are Kronecker powers of seed products; the
+    # full-size products of S and T are the pinned reference
+    s, t = s_int(b, depth), t_matrix(b, depth)
+    assert t == m_matrix(b, depth).transpose()
+    assert u_matrix(b, depth) == s * t
+    assert v_matrix(b, depth) == t * s
+    assert braid_products(b, depth) == (s * t * s, t * s * t)
+
+
+@pytest.mark.parametrize(
+    "seed", [ptm_mod._s_int_base, ptm_mod._m_base, ptm_mod._t_base], ids=["S1", "M", "T"]
+)
+def test_structured_apply_matches_dense_chain(seed):
+    rng = Random(2015)
+    for b, depth in ((2, 1), (2, 6), (3, 4), (4, 3), (5, 2)):
+        chain = kron_chain(seed, b, depth)
+        dense = chain.dense()
+        ints = [rng.randint(-9, 9) for _ in range(chain.dim)]
+        fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(chain.dim)]
+        for v in (ints, fractions):
+            assert structured_apply(chain, v) == dense.matvec(v), (b, depth)
+
+
 def test_u_v_kronecker_recursion():
     for b in (2, 3):
         u1, v1 = u_matrix(b, 1), v_matrix(b, 1)
@@ -496,22 +525,18 @@ def test_q_and_r_squares_b2():
         assert square_relation_check(depth)
 
 
-def test_checks_share_braid_products():
+def test_checks_share_braid_products(monkeypatch):
     for b, depth in ((2, 1), (2, 3), (3, 2)):
-        products = braid_products(b, depth)
         s, t = s_int(b, depth), t_matrix(b, depth)
-        assert products == (s * t * s, t * s * t)
-        assert braid_check(b, depth, products=products) == braid_check(b, depth)
-    for depth in (1, 2, 3):
-        products = braid_products(2, depth)
-        assert square_relation_check(depth, products=products)
-        # the given products are the ones checked: S T S in place of T S T
-        # keeps it true, S itself in either place makes it false
-        sts, _ = products
-        assert square_relation_check(depth, products=(sts, sts))
-        s = s_int(2, depth)
-        assert not square_relation_check(depth, products=(s, sts))
-        assert not square_relation_check(depth, products=(sts, s))
+        assert braid_products(b, depth) == (s * t * s, t * s * t)
+    cases = [(depth, braid_products(2, depth)[0], s_int(2, depth)) for depth in (1, 2, 3)]
+    for depth, sts, s in cases:
+        # both checks read braid_products: S T S in place of T S T keeps them
+        # true, S itself in either place makes them false
+        for pair, holds in (((sts, sts), True), ((s, sts), False), ((sts, s), False)):
+            monkeypatch.setattr(ptm_mod, "braid_products", lambda *args, pair=pair: pair)
+            assert square_relation_check(depth) is holds
+            assert braid_check(2, depth)[0] is holds
 
 
 def test_random_zero_sum_is_zero_sum_and_seeded():

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from sierpmat import sierpinski
 from sierpmat.digits import digit_sum, dominated_set, dominates, multiplicity, to_digits
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising
-from sierpmat.matrix import Matrix
+from sierpmat.matrix import KroneckerChain, Matrix
 from sierpmat.sierpinski import (
-    KroneckerChain,
     digital_binomial_sides,
     gould_check,
     matrix_exp_nilpotent,
