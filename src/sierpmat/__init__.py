@@ -14,7 +14,6 @@ from .sierpinski import (
     s_chain,
     s_entry,
     s_matrix,
-    s_numeric,
     structured_apply,
     x_matrix,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "s_chain",
     "s_entry",
     "s_matrix",
-    "s_numeric",
     "structured_apply",
     "x_matrix",
     "__version__",

@@ -54,7 +54,7 @@ def cmd_matrix(args) -> int:
     if symbolic and args.format == "csv":
         raise ValueError("csv format requires numeric entries; pass --eval to evaluate")
     if kind == "S" and x0 is not None:
-        mat = sierpinski.s_numeric(b, depth, x0, cap)
+        mat = sierpinski.s_chain(b, depth, x0, cap).dense()
     else:
         # built per call, so a builder patched on its module is the one used
         builders = {

@@ -191,17 +191,6 @@ class Matrix:
                 cols[j][i] = e
         return Matrix._of(cols, self.nrows, self.zero)
 
-    def skew_transpose(self) -> Matrix:
-        """Reflection across the anti-diagonal: out[i][j] = self[n-1-j][n-1-i]."""
-        if self.nrows != self.ncols:
-            raise ValueError("skew transpose requires a square matrix")
-        n = self.nrows
-        out = [{} for _ in range(n)]
-        for i in reversed(range(n)):
-            for j, e in self._rows[i].items():
-                out[n - 1 - j][n - 1 - i] = e
-        return Matrix._of(out, n, self.zero)
-
     def map(self, fn: Callable) -> Matrix:
         """Apply fn entrywise, calling it once per distinct (type, value):
         0, Fraction(0) and the zero Polynomial are equal but print apart,
@@ -245,9 +234,6 @@ class Matrix:
             e for i, row in enumerate(self._rows) for j, e in row.items() if j >= i + shift
         )
 
-    def diagonal(self) -> list:
-        return [self._rows[i].get(i, self.zero) for i in range(min(self.nrows, self.ncols))]
-
     def __str__(self):
         body = "\n".join("  ".join(str(e) for e in row) for row in self.rows)
         return body
@@ -279,6 +265,11 @@ class KroneckerChain:
         for _ in range(self.depth - 1):
             acc = self.base_factor.kron(acc)
         return acc
+
+    def power(self, k: int) -> KroneckerChain:
+        """The k-th power, which is the chain of the seed's k-th power
+        (mixed-product property); only b x b products are formed."""
+        return KroneckerChain(self.base_factor.power(k), self.depth)
 
 
 def kron_chain(

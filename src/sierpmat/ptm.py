@@ -244,20 +244,30 @@ def v_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
     return kron_chain(_v_base, b, depth, cap).dense()
 
 
+def _sts_base(b: int) -> Matrix:
+    return _u_base(b) * _s_int_base(b)
+
+
+def _tst_base(b: int) -> Matrix:
+    return _v_base(b) * _t_base(b)
+
+
 def power_relation_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> bool:
-    """U^(b+1) == V^(b+1) == (-1)^(depth*(b+1)) * I, exactly."""
-    u = u_matrix(b, depth, cap)
-    sign = -1 if (depth * (b + 1)) % 2 else 1
-    target = Matrix.identity(u.nrows, one=sign)
-    return u.power(b + 1) == target and v_matrix(b, depth, cap).power(b + 1) == target
+    """U^(b+1) == V^(b+1) == (-1)^(depth*(b+1)) * I, exactly. Each power is
+    the chain of its seed's power (mixed-product property), so only b x b
+    products are formed."""
+    target = Matrix.identity(checked_dim(b, depth, cap), one=-1 if (depth * (b + 1)) % 2 else 1)
+    powers = (kron_chain(seed, b, depth, cap).power(b + 1) for seed in (_u_base, _v_base))
+    return all(p.dense() == target for p in powers)
 
 
 def eigen_poly_annihilation_check(b: int) -> bool:
-    """p(r) = -1 + r - r^2 + ... + (-1)^(b+1) r^b kills both depth-1
-    generator products (their eigenvalues are exactly the roots of p)."""
+    """p(r) = -1 + r - r^2 + ... + (-1)^(b+1) r^b kills both seeds S_1 T_1
+    and T_1 S_1 (their eigenvalues are exactly the roots of p)."""
     _check_base(b)
     zero = Matrix([[0] * b for _ in range(b)])
-    for mat in (u_matrix(b, 1), v_matrix(b, 1)):
+    for mat in (_u_base(b), _v_base(b)):
+        # one running power: a mat.power(j) per j would form b^2/2 products, not b
         acc = Matrix.identity(b) * (-1)
         power = Matrix.identity(b)
         for j in range(1, b + 1):
@@ -271,9 +281,7 @@ def eigen_poly_annihilation_check(b: int) -> bool:
 def braid_products(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[Matrix, Matrix]:
     """(S T S, T S T) for S = s_int(b, depth) and T = t_matrix(b, depth): the
     Kronecker powers of the seeds S_1 T_1 S_1 and T_1 S_1 T_1."""
-    sts = kron_chain(lambda base: _u_base(base) * _s_int_base(base), b, depth, cap).dense()
-    tst = kron_chain(lambda base: _v_base(base) * _t_base(base), b, depth, cap).dense()
-    return sts, tst
+    return tuple(kron_chain(seed, b, depth, cap).dense() for seed in (_sts_base, _tst_base))
 
 
 def braid_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[bool, Optional[tuple]]:
@@ -285,10 +293,11 @@ def braid_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[bool, Optio
 
 
 def square_relation_check(depth: int, cap: int = DEFAULT_CAP) -> bool:
-    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly."""
-    q, r = braid_products(2, depth, cap)
-    target = Matrix.identity(q.nrows, one=-1 if depth % 2 else 1)
-    return q.power(2) == target and r.power(2) == target
+    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly, as
+    chains of the squared seeds."""
+    target = Matrix.identity(checked_dim(2, depth, cap), one=-1 if depth % 2 else 1)
+    squares = (kron_chain(seed, 2, depth, cap).power(2) for seed in (_sts_base, _tst_base))
+    return all(q.dense() == target for q in squares)
 
 
 def random_zero_sum(b: int, rng: Random) -> ZeroSumVector:

@@ -26,7 +26,6 @@ from .matrix import DEFAULT_CAP, KroneckerChain, Matrix, checked_dim, kron_chain
 __all__ = [
     "s_base",
     "s_matrix",
-    "s_numeric",
     "s_entry",
     "verify_one_parameter",
     "digital_binomial_sides",
@@ -59,11 +58,6 @@ def s_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
 def s_chain(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> KroneckerChain:
     """S(x0) as the chain of s_base(b) with x evaluated at x0 (Fractions)."""
     return kron_chain(lambda base: s_base(base).map(lambda p: p.eval(x0)), b, depth, cap)
-
-
-def s_numeric(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> Matrix:
-    """Same matrix as s_matrix with x evaluated at x0, built numerically."""
-    return s_chain(b, depth, x0, cap).dense()
 
 
 def _short(n: int) -> str:

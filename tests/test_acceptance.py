@@ -39,7 +39,6 @@ from sierpmat.sierpinski import (
     s_chain,
     s_entry,
     s_matrix,
-    s_numeric,
     shifted_gould_check,
     stirling_identity_check,
     structured_apply,
@@ -289,7 +288,7 @@ def test_acceptance_10_structured_apply_performance():
         structured_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        dense = s_numeric(b, depth, 1)
+        dense = s_chain(b, depth, 1).dense()
         build_time = time.perf_counter() - t0
 
         sample = vectors[:3]

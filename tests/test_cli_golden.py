@@ -10,7 +10,9 @@ at (2, 8) and the one-parameter run at (3, 5) before Matrix stored only
 nonzeros; the stirling run at (12, 1) before the x-power sweep built
 each power from the previous one; the relations runs at (2, 8), (3, 5) and
 (4, 3) and the `matrix T` and `matrix V` runs before T, U, V and the braid
-products were built as Kronecker powers of their b x b seeds. The
+products were built as Kronecker powers of their b x b seeds; the relations
+runs at (2, 12), (4, 6) and (8, 4) before the power and square relations
+raised only those seeds to powers. The
 `matrix U ... --eval` row pins a refusal (exit 2, empty stdout). So a change that alters any printed byte of these runs fails here. To re-pin after an intended output change, print
 the new digests with `_run` and review the output diff first.
 """
@@ -60,6 +62,9 @@ GOLDEN = [
     ("verify relations --base 4 --depth 3", 0, "bc8fd8590e1633502d9452a2a8db8e0f8d646293b322bf68fd1eccf58b63c105"),
     ("matrix T --base 3 --depth 3", 0, "ebec94e81163b05572260ec3d050356c291c1113360eb115a44b552510d53037"),
     ("matrix V --base 3 --depth 2", 0, "330bf5e437c6249c6f0bb9020bcaf246285d2071b093f40cd5de1d32a148d168"),
+    ("verify relations --base 2 --depth 12", 0, "fa64fbcab6e965c63eb1fd3ad9eae26b87554005f05dead7c08502737bf99810"),
+    ("verify relations --base 4 --depth 6 --format text", 0, "1845eb96c74ccc726c2cf41045f480c666c56ef4a55dbcf553145a5c225d736a"),
+    ("verify relations --base 8 --depth 4", 0, "ca407b831f463aa081c7d1e049a7ed92c437b8716a09224469856802ae35280b"),
     ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matrix U --base 2 --depth 1 --eval 7/3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

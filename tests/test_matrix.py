@@ -105,6 +105,15 @@ def test_kron_chain_dense_matches_repeated_kron():
     assert kron_chain(lambda b: a, 2, 3, cap=8).dense().nrows == 8
 
 
+def test_chain_power_is_chain_of_seed_power():
+    a = Matrix([[1, 0], [2, 3]])
+    for depth in (1, 2, 3):
+        chain = kron_chain(lambda b: a, 2, depth)
+        for k in (0, 1, 2, 3):
+            assert chain.power(k).dense() == chain.dense().power(k), (depth, k)
+            assert chain.power(k).depth == depth
+
+
 def test_kron_chain_checks_cap_before_building_seed():
     def seed(b):
         raise AssertionError("seed built for an oversized base")
@@ -135,20 +144,9 @@ def test_kron_mixed_product_rule():
     assert (a * c).kron(b * d) == a.kron(b) * c.kron(d)
 
 
-def test_transpose_and_skew_transpose():
+def test_transpose():
     a = Matrix([[1, 2], [3, 4]])
     assert a.transpose() == Matrix([[1, 3], [2, 4]])
-    # anti-diagonal reflection
-    assert a.skew_transpose() == Matrix([[4, 2], [3, 1]])
-    assert a.skew_transpose().skew_transpose() == a
-    with pytest.raises(ValueError):
-        Matrix([[1, 2, 3]]).skew_transpose()
-
-
-def test_skew_transpose_reverses_products():
-    a = Matrix([[1, 2], [3, 4]])
-    b = Matrix([[5, 6], [7, 8]])
-    assert (a * b).skew_transpose() == b.skew_transpose() * a.skew_transpose()
 
 
 def test_map_and_matvec():
@@ -169,10 +167,6 @@ def test_lower_triangular_checks():
     assert not Matrix([[1, 2], [0, 1]]).is_lower_triangular()
     poly_lo = Matrix([[ONE, Polynomial.constant(0)], [X, ONE]])
     assert poly_lo.is_lower_triangular()
-
-
-def test_diagonal():
-    assert Matrix([[1, 2], [3, 4]]).diagonal() == [1, 4]
 
 
 def test_checked_dim():
@@ -355,11 +349,6 @@ def _dense_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
-def _dense_skew(a):
-    n = len(a)
-    return [[a[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
-
-
 def _dense_matvec(a, v):
     zero = _dense_zero(a, (v,))
     return [sum((x * y for x, y in zip(row, v) if x), zero) for row in a]
@@ -428,9 +417,9 @@ def test_sparse_storage_matches_dense_reference(kinds, shape, seed):
     _same(ma.map(lambda e: e * 2 + 1), [[e * 2 + 1 for e in r] for r in a])
     _same(ma.map(lambda e: e * 0), [[e * 0 for e in r] for r in a])
     square = [r[:n] for r in _random_sparse(ka, n, max(n, m), rng)]
-    _same(Matrix(square).skew_transpose(), _dense_skew(square))
-    assert Matrix(square).diagonal() == [square[i][i] for i in range(n)]
-    assert [type(e) for e in Matrix(square).diagonal()] == [type(square[i][i]) for i in range(n)]
+    diagonal = [Matrix(square)[i, i] for i in range(n)]
+    assert diagonal == [square[i][i] for i in range(n)]
+    assert [type(e) for e in diagonal] == [type(square[i][i]) for i in range(n)]
     for strict in (False, True):
         shift = 0 if strict else 1
         lower = not any(e for i, r in enumerate(square) for e in r[i + shift :])

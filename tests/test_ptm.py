@@ -452,6 +452,18 @@ def test_seed_products_match_dense_products(b, depth):
     assert braid_products(b, depth) == (s * t * s, t * s * t)
 
 
+@pytest.mark.parametrize("b, depth", _DESK_SIZES)
+def test_seed_powers_match_dense_powers(b, depth):
+    # the relation checks raise chains to powers through their seeds; the
+    # full-size Matrix.power of the dense products is the pinned reference
+    for seed, dense in ((ptm_mod._u_base, u_matrix), (ptm_mod._v_base, v_matrix)):
+        assert kron_chain(seed, b, depth).power(b + 1).dense() == dense(b, depth).power(b + 1)
+    if b == 2:
+        seeds = (ptm_mod._sts_base, ptm_mod._tst_base)
+        for seed, product in zip(seeds, braid_products(b, depth)):
+            assert kron_chain(seed, b, depth).power(2).dense() == product.power(2)
+
+
 @pytest.mark.parametrize(
     "seed", [ptm_mod._s_int_base, ptm_mod._m_base, ptm_mod._t_base], ids=["S1", "M", "T"]
 )
@@ -474,9 +486,15 @@ def test_u_v_kronecker_recursion():
             assert v_matrix(b, depth) == v1.kron(v_matrix(b, depth - 1))
 
 
+def _dense_skew(m):
+    # reflection across the anti-diagonal: out[i][j] = m[n-1-j][n-1-i]
+    n, rows = m.nrows, m.rows
+    return Matrix([[rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)])
+
+
 def test_v_is_skew_transpose_of_u():
     for b, depth in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)):
-        assert v_matrix(b, depth) == u_matrix(b, depth).skew_transpose()
+        assert v_matrix(b, depth) == _dense_skew(u_matrix(b, depth))
 
 
 def test_u1_cubed_is_minus_identity():
@@ -529,12 +547,13 @@ def test_checks_share_braid_products(monkeypatch):
     for b, depth in ((2, 1), (2, 3), (3, 2)):
         s, t = s_int(b, depth), t_matrix(b, depth)
         assert braid_products(b, depth) == (s * t * s, t * s * t)
-    cases = [(depth, braid_products(2, depth)[0], s_int(2, depth)) for depth in (1, 2, 3)]
-    for depth, sts, s in cases:
-        # both checks read braid_products: S T S in place of T S T keeps them
-        # true, S itself in either place makes them false
+    sts, s = ptm_mod._sts_base, ptm_mod._s_int_base
+    for depth in (1, 2, 3):
+        # both checks read the braid seeds: S_1 T_1 S_1 in place of T_1 S_1 T_1
+        # keeps them true, S_1 itself in either place makes them false
         for pair, holds in (((sts, sts), True), ((s, sts), False), ((sts, s), False)):
-            monkeypatch.setattr(ptm_mod, "braid_products", lambda *args, pair=pair: pair)
+            monkeypatch.setattr(ptm_mod, "_sts_base", pair[0])
+            monkeypatch.setattr(ptm_mod, "_tst_base", pair[1])
             assert square_relation_check(depth) is holds
             assert braid_check(2, depth)[0] is holds
 

@@ -20,7 +20,6 @@ from sierpmat.sierpinski import (
     s_chain,
     s_entry,
     s_matrix,
-    s_numeric,
     shifted_gould_check,
     stirling_first,
     stirling_identity_check,
@@ -164,11 +163,11 @@ def test_s_entry_index_error_for_indices_past_str_limit():
     assert str(info.value) == "entry (<1000001-bit int>,0) out of range for dimension 2^1000000"
 
 
-def test_s_numeric_matches_symbolic_eval():
+def test_s_chain_dense_matches_symbolic_eval():
     for b, depth in ((2, 3), (3, 2)):
         x0 = Fraction(3, 2)
         sym = s_matrix(b, depth).map(lambda p: p.eval(x0))
-        assert s_numeric(b, depth, x0) == sym
+        assert s_chain(b, depth, x0).dense() == sym
 
 
 def test_one_parameter_small():
@@ -490,8 +489,8 @@ def test_exp_series_stops_at_first_zero_term(monkeypatch, b, depth):
 def test_determinant_one_and_group_inverse(b, depth):
     m = s_matrix(b, depth)
     det = ONE
-    for e in m.diagonal():
-        det = det * e
+    for i in range(m.nrows):
+        det = det * m[i, i]
     assert det == 1
     m_neg = m.map(lambda p: p.compose(px=-X))
     assert m * m_neg == Matrix.identity(m.nrows, one=ONE, zero=ZERO)
@@ -523,7 +522,7 @@ def test_structured_apply_matches_dense_random():
     rng = Random(20260815)
     for b, depth in ((2, 3), (3, 3), (4, 2)):
         x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-        dense = s_numeric(b, depth, x0)
+        dense = s_chain(b, depth, x0).dense()
         chain = s_chain(b, depth, x0)
         for _ in range(5):
             v = [
@@ -563,7 +562,7 @@ def _dominance_apply(b, depth, x0, v):
 )
 def test_structured_apply_exact_cases(b, depth, x0, v):
     got = structured_apply(s_chain(b, depth, x0), v)
-    assert got == s_numeric(b, depth, x0).matvec(v)
+    assert got == s_chain(b, depth, x0).dense().matvec(v)
     assert got == _dominance_apply(b, depth, x0, v)
     assert all(type(e) is Fraction for e in got)
 
@@ -599,7 +598,7 @@ def test_structured_apply_length_check():
 def test_structured_apply_property(b, depth, seed):
     rng = Random(seed)
     x0 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-    dense = s_numeric(b, depth, x0)
+    dense = s_chain(b, depth, x0).dense()
     chain = s_chain(b, depth, x0)
     v = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(b**depth)]
     assert structured_apply(chain, v) == dense.matvec(v)
