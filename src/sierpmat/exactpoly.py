@@ -238,6 +238,49 @@ def over_common_denominator(values: Sequence, what: str) -> tuple[list[int], int
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int, Polynomial]]:
+    """Rows of the matrix product A B, for A and B held as rows of
+    {col: Polynomial} nonzeros, row by row as Matrix.__mul__ runs it.
+
+    Each output cell sums its pairs (A[i][k], B[k][j]) on the integer
+    numerators: one dict per cell, into which every pair is convolved at
+    the running lcm of the pairs' denominators, and one reduction per cell.
+    No Polynomial is formed per pair or per partial sum. A cell whose
+    products cancel is the zero Polynomial.
+    """
+    reduced = Polynomial._reduced
+    out = []
+    for row in arows:
+        cells: dict[int, list] = {}  # col -> [numerators, denominator]
+        for k, a in row.items():
+            aterms, aden = a._num.items(), a._den
+            for j, e in brows[k].items():
+                d = aden * e._den
+                cell = cells.get(j)
+                if cell is None:
+                    num, scale = {}, 1
+                    cells[j] = [num, d]
+                else:
+                    num, den = cell
+                    if den % d:
+                        # d does not divide the cell's denominator: rescale to their lcm
+                        new = lcm(den, d)
+                        f = new // den
+                        for key in num:
+                            num[key] *= f
+                        cell[1] = den = new
+                    scale = den // d
+                for (ax, ay), ac in aterms:
+                    ac *= scale
+                    for (bx, by), bc in e._num.items():
+                        key = (ax + bx, ay + by)
+                        num[key] = num.get(key, 0) + ac * bc
+        out.append(
+            {j: reduced({key: c for key, c in num.items() if c}, den) for j, (num, den) in cells.items()}
+        )
+    return out
+
+
 def _as_poly(value):
     if isinstance(value, Polynomial):
         return value

@@ -8,19 +8,23 @@ absent cells read as; a zero of another type stays stored, so zeros that
 print apart keep their types. Every family in this package is supported on
 the digit-dominance pattern (S(x) at base 2 has 3^N nonzeros in 4^N cells),
 so every operation touches stored entries only: A * B runs row by row
-(Gustavson), one product per pair (A[i][k], B[k][j]) of stored entries.
-A.map(fn) calls fn once per distinct entry, which is why entries must be
-hashable. `rows` is a dense view, built on each access.
+(Gustavson), over each pair (A[i][k], B[k][j]) of stored entries. When
+every stored entry of both factors is exactly a Polynomial, each output
+cell sums its pairs on integer numerators (exactpoly.product_rows) and
+forms one Polynomial; any other entries take the generic loop, one entry
+product and one sum per pair. A.map(fn) calls fn once per distinct entry,
+which is why entries must be hashable. `rows` is a dense view, built on
+each access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .digits import _check_base, _check_depth
+from .exactpoly import Polynomial, product_rows
 
 DEFAULT_CAP = 4096
 
@@ -36,6 +40,11 @@ def checked_dim(b: int, depth: int, cap: int = DEFAULT_CAP) -> int:
         if dim > cap:
             raise ValueError(f"dimension {b}^{depth} exceeds cap {cap}")
     return dim
+
+
+def _all_polynomial(rows: Sequence[dict]) -> bool:
+    # exactly Polynomial: a subclass such as ptm.UniPoly keeps its own class
+    return all(type(e) is Polynomial for r in rows for e in r.values())
 
 
 class Matrix:
@@ -147,14 +156,18 @@ class Matrix:
             # row by row (Gustavson): row i of the product sums a * (row k of
             # other) over the stored a = self[i][k]
             brows = other._rows
-            out = []
-            for row in self._rows:
-                acc = {}
-                for k, a in row.items():
-                    for j, e in brows[k].items():
-                        p = a * e
-                        acc[j] = acc[j] + p if j in acc else p
-                out.append(acc)
+            if _all_polynomial(self._rows) and _all_polynomial(brows):
+                # each cell summed on integer numerators, one Polynomial per cell
+                out = product_rows(self._rows, brows)
+            else:
+                out = []
+                for row in self._rows:
+                    acc = {}
+                    for k, a in row.items():
+                        for j, e in brows[k].items():
+                            p = a * e
+                            acc[j] = acc[j] + p if j in acc else p
+                    out.append(acc)
             return Matrix._of(out, other.ncols, self.zero * other.zero)
         return self.map(lambda e: e * other)
 
@@ -242,18 +255,30 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})\n{self}"
 
 
-@dataclass(frozen=True)
 class KroneckerChain:
     """The depth-fold Kronecker power of a square seed, held as (seed, depth);
-    every family here but the Kronecker sum X(x) is one."""
+    every family here but the Kronecker sum X(x) is one. Immutable, and
+    unhashable as its Matrix seed is; equal when seed and depth are equal."""
 
-    base_factor: Matrix
-    depth: int
+    __slots__ = ("base_factor", "depth")
 
-    def __post_init__(self):
-        if self.base_factor.nrows != self.base_factor.ncols:
+    def __init__(self, base_factor: Matrix, depth: int):
+        if base_factor.nrows != base_factor.ncols:
             raise ValueError("chain factor must be square")
-        _check_depth(self.depth)
+        _check_depth(depth)
+        object.__setattr__(self, "base_factor", base_factor)
+        object.__setattr__(self, "depth", depth)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KroneckerChain is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.base_factor, self.depth) == (other.base_factor, other.depth)
+
+    def __repr__(self):
+        return f"KroneckerChain(base_factor={self.base_factor!r}, depth={self.depth!r})"
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,6 @@ seed, and the seed of U, V or a braid product is the product of seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from random import Random
@@ -48,24 +47,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ZeroSumVector:
-    """b exact rationals that sum to zero."""
+    """b exact rationals that sum to zero. Immutable and hashable; equal
+    when base and entries are equal."""
 
-    base: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ("base", "entries")
 
-    def __post_init__(self):
-        _check_base(self.base)
-        entries = tuple(Fraction(e) for e in self.entries)
-        if len(entries) != self.base:
-            raise ValueError(
-                f"need {self.base} entries for base {self.base}, got {len(entries)}"
-            )
+    def __init__(self, base: int, entries: Sequence):
+        _check_base(base)
+        entries = tuple(Fraction(e) for e in entries)
+        if len(entries) != base:
+            raise ValueError(f"need {base} entries for base {base}, got {len(entries)}")
         total = sum(entries)
         if total != 0:
             raise ValueError(f"entries sum to {total}, expected 0")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZeroSumVector is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.base, self.entries) == (other.base, other.entries)
+
+    def __hash__(self):
+        return hash((self.base, self.entries))
+
+    def __repr__(self):
+        return f"ZeroSumVector(base={self.base!r}, entries={self.entries!r})"
 
 
 class UniPoly(Polynomial):
@@ -173,7 +184,11 @@ def coefficients_by_formula(
 
     A's denominators are cleared once by their lcm d, the dominated sums
     run on Python ints, and each c_n is one Fraction(sum, d)."""
-    f, d = over_common_denominator(f_vector(b, depth, a, cap), "coefficient")
+    return _dominated_sums(f_vector(b, depth, a, cap), b)
+
+
+def _dominated_sums(values: list[Fraction], b: int) -> list[Fraction]:
+    f, d = over_common_denominator(values, "coefficient")
     return [Fraction(sum(map(f.__getitem__, dominated_set(n, b))), d) for n in range(len(f))]
 
 
@@ -193,9 +208,11 @@ def factorization(
     coefficients c; the factorization holds when the first and last agree.
     P's coefficients are cleared to integers over their lcm d, each factor
     (1 - x^s) is one shifted subtraction on them, and the product of the
-    factors alone is never formed."""
-    f = UniPoly(f_vector(b, depth, a, cap))
-    c = coefficients_by_formula(b, depth, a, cap)
+    factors alone is never formed. f_vector is built once, for F and for
+    the dominated sums."""
+    values = f_vector(b, depth, a, cap)
+    f = UniPoly(values)
+    c = _dominated_sums(values, b)
     nums, d = over_common_denominator(c, "coefficient")
     for m in range(depth):
         pad = [0] * b**m

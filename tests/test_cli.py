@@ -586,6 +586,16 @@ def test_module_entry_has_clean_stderr():
     assert json.loads(proc.stdout)["dim"] == 2
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast and dis: start-up cost on every CLI run
+    proc = _python(
+        "-S",
+        "-c",
+        "import sys, sierpmat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_import_leaves_cli_unloaded():
     proc = _python(
         "-c",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial
-from sierpmat.matrix import DEFAULT_CAP, Matrix, checked_dim, kron_chain
+from sierpmat.matrix import DEFAULT_CAP, KroneckerChain, Matrix, checked_dim, kron_chain
 from sierpmat.ptm import UniPoly
 
 
@@ -112,6 +112,23 @@ def test_chain_power_is_chain_of_seed_power():
         for k in (0, 1, 2, 3):
             assert chain.power(k).dense() == chain.dense().power(k), (depth, k)
             assert chain.power(k).depth == depth
+
+
+def test_chain_is_an_immutable_value():
+    a = Matrix([[1, 0], [2, 3]])
+    chain = KroneckerChain(a, 2)
+    assert chain == KroneckerChain(base_factor=Matrix([[1, 0], [2, 3]]), depth=2)
+    assert chain != KroneckerChain(a, 3) and chain != (a, 2)
+    assert repr(chain) == f"KroneckerChain(base_factor={a!r}, depth=2)"
+    with pytest.raises(AttributeError):
+        chain.depth = 3
+    with pytest.raises(TypeError):
+        hash(chain)  # unhashable, as its Matrix seed is
+    # squareness is checked before the depth
+    with pytest.raises(ValueError, match="square"):
+        KroneckerChain(Matrix([[1, 2]]), -1)
+    with pytest.raises(ValueError):
+        KroneckerChain(a, -1)
 
 
 def test_kron_chain_checks_cap_before_building_seed():
@@ -435,3 +452,94 @@ def test_sparse_storage_matches_dense_reference(kinds, shape, seed):
         _same_witness(ma.first_mismatch(Matrix(other)), _dense_first_mismatch(a, other))
         _same_witness(Matrix(other).first_mismatch(ma), _dense_first_mismatch(other, a))
         assert (ma == Matrix(other)) == (_dense_first_mismatch(a, other) is None)
+
+
+# --- the per-cell numerator sum against the loop it replaced ---
+# Where every stored entry of both factors is exactly a Polynomial, A * B sums
+# each cell on integer numerators; anything else keeps the loop below. Both
+# must store the same cells with the same values, types and zeros.
+
+
+def _pairwise_product(a, b):
+    """The generic Matrix.__mul__ loop: one product and one sum per pair of
+    stored entries."""
+    out = []
+    for row in a._rows:
+        acc = {}
+        for k, x in row.items():
+            for j, e in b._rows[k].items():
+                acc[j] = acc[j] + x * e if j in acc else x * e
+        out.append(acc)
+    return Matrix._of(out, b.ncols, a.zero * b.zero)
+
+
+def _bivariate(rng):
+    # one to three terms in x and y, each over its own denominator
+    return Polynomial(
+        {
+            (rng.randint(0, 3), rng.randint(0, 2)): Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 3))
+        }
+    )
+
+
+def _cell(kind, rng):
+    if kind == "unipoly":
+        return UniPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(3)])
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction", "bivariate"))
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "fraction":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+    return _bivariate(rng)
+
+
+def _cells(kind, nrows, ncols, rng):
+    """Rows of the given kind with a random share of zeros, all of one type
+    picked at random, so the matrix zero need not match the entries."""
+    zero = rng.choice([0, Fraction(0), ZERO, UniPoly([])])
+    share = rng.randint(0, 8) / 10
+    return [
+        [zero if rng.random() < share else _cell(kind, rng) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _same_cells(got, want):
+    assert type(got.zero) is type(want.zero) and got.zero == want.zero
+    assert [{j: (type(e), str(e)) for j, e in r.items()} for r in got._rows] == [
+        {j: (type(e), str(e)) for j, e in r.items()} for r in want._rows
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(("bivariate", "mixed", "unipoly"))] * 2),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 10**6),
+)
+def test_product_matches_pairwise_loop(kinds, shape, seed):
+    rng = Random(seed)
+    (ka, kc), (n, m, k) = kinds, shape
+    a, c = Matrix(_cells(ka, n, m, rng)), Matrix(_cells(kc, m, k, rng))
+    _same_cells(a * c, _pairwise_product(a, c))
+    # [A | A] times [C ; -C]: every cell's products cancel in the sum
+    cancel = Matrix([list(r) + list(r) for r in a.rows])
+    stacked = Matrix([list(r) for r in c.rows] + [[-e for e in r] for r in c.rows])
+    _same_cells(cancel * stacked, _pairwise_product(cancel, stacked))
+
+
+def test_product_rescales_cells_to_the_lcm_of_denominators():
+    # pair denominators 10, then 21 (the cell is rescaled to 210), then 10
+    a = Matrix([[X * Fraction(1, 2), X * Fraction(1, 3), Y]])
+    b = Matrix([[Y * Fraction(1, 5)], [Y * Fraction(1, 7) + 1], [-X * Fraction(1, 10)]])
+    cell = (a * b)[0, 0]
+    assert type(cell) is Polynomial
+    assert cell.terms == {(1, 1): Fraction(1, 21), (1, 0): Fraction(1, 3)}
+    # products that cancel leave the zero Polynomial, dropped under a Polynomial zero
+    half = Matrix([[X * Fraction(1, 2), X * Fraction(1, 2)]])
+    assert (half * Matrix([[ONE], [-ONE]])).nnz == 0
+    # and stored under an int zero, as the pairwise sum leaves it
+    kept = Matrix([[X, X, 0]]) * Matrix([[Y], [-Y], [0]])
+    assert type(kept.zero) is int and kept.nnz == 1 and type(kept[0, 0]) is Polynomial

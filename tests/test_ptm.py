@@ -54,6 +54,21 @@ def test_zero_sum_rejects_wrong_arity_and_base():
         ZeroSumVector(1, (0,))
 
 
+def test_zero_sum_is_an_immutable_value():
+    a = ZeroSumVector(3, [1, 1, -2])
+    assert a == ZeroSumVector(base=3, entries=(1, 1, Fraction(-2)))
+    assert a != ZeroSumVector(3, (2, -1, -1)) and a != (3, a.entries)
+    assert hash(a) == hash(ZeroSumVector(3, (1, 1, -2)))
+    assert repr(ZeroSumVector(2, (1, -1))) == (
+        "ZeroSumVector(base=2, entries=(Fraction(1, 1), Fraction(-1, 1)))"
+    )
+    with pytest.raises(AttributeError):
+        a.base = 4
+    # the base is checked before the entries are read
+    with pytest.raises(ValueError, match="base"):
+        ZeroSumVector(1, ("not a number",))
+
+
 # -- UniPoly ----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from sierpmat import cli, suites
+from sierpmat.exactpoly import Polynomial
 from sierpmat.matrix import DEFAULT_CAP, Matrix
 
 
@@ -38,3 +39,47 @@ def test_relations_raise_only_seeds_to_powers(monkeypatch, b, depth):
     rows = suites.relations(b, depth, DEFAULT_CAP, 0)
     assert {r.status for r in rows} <= {"pass", "expected-fail"}
     assert shapes and set(shapes) == {(b, b)}
+
+
+def test_one_parameter_product_forms_no_polynomial_per_pair(monkeypatch):
+    # each cell of S(x) S(y) is summed on integer numerators: no Polynomial
+    # product or sum of nonzeros runs inside the matrix product (the one
+    # zero * zero there is the product's matrix zero)
+    depth, inside = [0], []
+    mul = Matrix.__mul__
+
+    def recording_mul(self, other):
+        depth[0] += 1
+        try:
+            return mul(self, other)
+        finally:
+            depth[0] -= 1
+
+    def recorded(name):
+        op = getattr(Polynomial, name)
+
+        def recording(self, other):
+            if depth[0] and self and other:
+                inside.append((name, self, other))
+            return op(self, other)
+
+        return recording
+
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Polynomial, name, recorded(name))
+    rows = suites.one_parameter(2, 4, DEFAULT_CAP, 0)
+    assert [r.status for r in rows] == ["pass"]
+    assert inside == []
+
+
+def test_check_is_an_immutable_value():
+    row = suites.Check("braid", "expected-fail", {"row": 0})
+    assert row == suites.Check(name="braid", status="expected-fail", witness={"row": 0})
+    assert row != suites.Check("braid", "expected-fail") and row != ("braid", "expected-fail")
+    assert repr(row) == "Check(name='braid', status='expected-fail', witness={'row': 0})"
+    assert hash(suites.Check("prouhet", "pass")) == hash(suites.Check("prouhet", "pass"))
+    with pytest.raises(TypeError):
+        hash(row)  # a witness dict is unhashable
+    with pytest.raises(AttributeError):
+        row.status = "pass"
