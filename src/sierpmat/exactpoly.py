@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -279,6 +279,37 @@ def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int,
             {j: reduced({key: c for key, c in num.items() if c}, den) for j, (num, den) in cells.items()}
         )
     return out
+
+
+def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """sum of a * e over the (a, e) pairs, on the integer numerators.
+
+    Every pair is convolved into one dict at the running lcm of the pairs'
+    denominators (rescaled only when a pair's denominator does not divide
+    it), as product_rows sums one cell; one reduction at the end. No
+    Polynomial is formed per pair or per partial sum.
+
+    >>> str(sum_of_products([(X, Y), (X * Fraction(1, 2), X + 1), (Y, -X)]))
+    '(1/2)*x^2 + (1/2)*x'
+    """
+    num: dict[tuple[int, int], int] = {}
+    den = 1
+    for a, e in pairs:
+        d = a._den * e._den
+        if den % d:
+            new = lcm(den, d)
+            f = new // den
+            for key in num:
+                num[key] *= f
+            den = new
+        scale = den // d
+        eterms = e._num.items()
+        for (ax, ay), ac in a._num.items():
+            ac *= scale
+            for (bx, by), bc in eterms:
+                key = (ax + bx, ay + by)
+                num[key] = num.get(key, 0) + ac * bc
+    return Polynomial._reduced({key: c for key, c in num.items() if c}, den)
 
 
 def _as_poly(value):

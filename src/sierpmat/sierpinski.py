@@ -15,11 +15,10 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .digits import (
-    _check_base, _check_depth, _padded_digits, dominated_set, dominates, multiplicity, to_digits
-)
+from .digits import _check_base, _check_depth, dominated_set, dominates, to_digits
 from .exactpoly import (
-    ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, over_common_denominator, rising_table
+    ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, over_common_denominator, rising_table,
+    sum_of_products,
 )
 from .matrix import DEFAULT_CAP, KroneckerChain, Matrix, checked_dim, kron_chain
 
@@ -97,11 +96,33 @@ def verify_one_parameter(
     return mismatch is None, mismatch
 
 
+def _prefix_products(digits: Sequence[int], table: Sequence[Polynomial], b: int) -> dict[int, Polynomial]:
+    """{k: prod_i table[d_i(k)]} for every k whose digits sit below digits.
+
+    Built a digit position at a time, as dominated_set builds its list: each
+    product of the first i + 1 positions is one product of the first i, times
+    one table entry, and c = 0 keeps it (table[0] is 1).
+    """
+    parts = {0: ONE}
+    weight = 1
+    for d in digits:
+        level = dict(parts)
+        for c in range(1, d + 1):
+            factor, shift = table[c], c * weight
+            for k, p in parts.items():
+                level[k + shift] = p * factor
+        parts = level
+        weight *= b
+    return parts
+
+
 def digital_binomial_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
     """Both sides of the digit-product expansion of n in base b.
 
     Left: prod_i binom_rising(d_i(n), x+y). Right: sum over all m whose
-    digits sit below n's, of the split product in x and y.
+    digits sit below n's, of the split product in x and y. Each x-part and
+    y-part is built once per digit prefix; the sum over m runs on integer
+    numerators (exactpoly.sum_of_products).
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -110,33 +131,41 @@ def digital_binomial_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
     lhs = ONE
     for d in digits:
         lhs = lhs * txy[d]
-    rhs = ZERO
-    for m in dominated_set(n, b):
-        dm, dn = _padded_digits(m, n, b)
-        term = ONE
-        for dmi, dni in zip(dm, dn):
-            term = term * tx[dmi] * ty[dni - dmi]
-        rhs = rhs + term
+    px, py = _prefix_products(digits, tx, b), _prefix_products(digits, ty, b)
+    rhs = sum_of_products((px[m], py[n - m]) for m in dominated_set(n, b))
     return lhs, rhs
+
+
+def _multiplicities(n: int, b: int) -> tuple[int, ...]:
+    # the nonzero base-b digits of n in increasing order: one tuple per multiplicity vector
+    return tuple(sorted(d for d in to_digits(n, b) if d))
+
+
+def _power_product(table: Sequence[Polynomial], key: tuple[int, ...]) -> Polynomial:
+    """prod_j table[j] ** (multiplicity of j in key)."""
+    acc = ONE
+    for j in set(key):
+        acc = acc * table[j] ** key.count(j)
+    return acc
 
 
 def multiplicity_identity_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
     """Regrouped form of digital_binomial_sides: factors collected by digit
-    value j with exponent = multiplicity of j. The j = 0 factor is 1."""
+    value j with exponent = multiplicity of j. The j = 0 factor is 1.
+
+    Each m's digits are read once; each x-part and y-part is built once per
+    multiplicity vector within a call, and the sum over m runs on integer
+    numerators.
+    """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     dominated = dominated_set(n, b)  # checks b before the tables are built
     tx, ty, txy = (rising_table(b - 1, arg) for arg in (X, Y, X + Y))
-    lhs = ONE
-    for j in range(1, b):
-        lhs = lhs * txy[j] ** multiplicity(n, j, b)
-    rhs = ZERO
-    for m in dominated:
-        term = ONE
-        for j in range(1, b):
-            term = term * tx[j] ** multiplicity(m, j, b)
-            term = term * ty[j] ** multiplicity(n - m, j, b)
-        rhs = rhs + term
+    lhs = _power_product(txy, _multiplicities(n, b))
+    keys = {k: _multiplicities(k, b) for m in dominated for k in (m, n - m)}
+    xparts = {key: _power_product(tx, key) for key in set(keys.values())}
+    yparts = {key: _power_product(ty, key) for key in xparts}
+    rhs = sum_of_products((xparts[keys[m]], yparts[keys[n - m]]) for m in dominated)
     return lhs, rhs
 
 

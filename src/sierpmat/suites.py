@@ -191,8 +191,14 @@ def run(suite: str, b: int, depth: int, cap: int, seed: int) -> list[Check]:
     """The rows of one suite, or of every suite in SUITES order for "all".
 
     The cap is checked once, before any suite runs: b^depth, or b^(depth+1)
-    when prouhet runs, since it partitions that range.
+    when prouhet runs, since it partitions that range. stirling alone builds
+    only b x b seeds, so the cap bounds b and depth is only validated.
     """
     names = list(SUITES) if suite == "all" else [suite]
-    matrix.checked_dim(b, depth + 1 if "prouhet" in names else depth, cap)
+    if suite == "stirling":
+        digits._check_base(b)
+        digits._check_depth(depth)
+        matrix.checked_dim(b, 1, cap)
+    else:
+        matrix.checked_dim(b, depth + 1 if "prouhet" in names else depth, cap)
     return [row for name in names for row in SUITES[name](b, depth, cap, seed)]

@@ -407,6 +407,22 @@ def test_verify_checks_cap_before_any_suite(capsys, monkeypatch, argv):
     assert "exceeds cap" in err
 
 
+def test_verify_stirling_caps_base_not_depth(capsys):
+    # stirling builds only b x b seeds, so depth past the cap is admitted
+    code, deep, err = run(capsys, "verify", "stirling", "--base", "12", "--depth", "4")
+    assert code == 0 and err == ""
+    _, shallow, _ = run(capsys, "verify", "stirling", "--base", "12", "--depth", "1")
+    rows = json.loads(shallow)["checks"]
+    assert rows and json.loads(deep)["checks"] == [dict(r, depth=4) for r in rows]
+    for argv, message in [
+        (("stirling", "--base", "5000", "--depth", "1"), "error: dimension 5000^1 exceeds cap 4096\n"),
+        (("stirling", "--base", "12", "--depth", "0"), "error: depth must be >= 1, got 0\n"),
+        (("exp", "--base", "12", "--depth", "4"), "error: dimension 12^4 exceeds cap 4096\n"),
+        (("all", "--base", "12", "--depth", "4"), "error: dimension 12^5 exceeds cap 4096\n"),
+    ]:
+        assert run(capsys, "verify", *argv) == (2, "", message)
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run(
         capsys, "verify", "prouhet", "--base", "2", "--depth", "2", "--format", "text"

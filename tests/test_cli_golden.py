@@ -12,7 +12,9 @@ each power from the previous one; the relations runs at (2, 8), (3, 5) and
 (4, 3) and the `matrix T` and `matrix V` runs before T, U, V and the braid
 products were built as Kronecker powers of their b x b seeds; the relations
 runs at (2, 12), (4, 6) and (8, 4) before the power and square relations
-raised only those seeds to powers. The
+raised only those seeds to powers; the digital-binomial runs at (4, 4),
+(5, 3), (6, 3) and (2, 10) before the dominated sums were built from shared
+digit-prefix products and summed on integer numerators. The
 `matrix U ... --eval` row pins a refusal (exit 2, empty stdout). So a change that alters any printed byte of these runs fails here. To re-pin after an intended output change, print
 the new digests with `_run` and review the output diff first.
 """
@@ -65,6 +67,10 @@ GOLDEN = [
     ("verify relations --base 2 --depth 12", 0, "fa64fbcab6e965c63eb1fd3ad9eae26b87554005f05dead7c08502737bf99810"),
     ("verify relations --base 4 --depth 6 --format text", 0, "1845eb96c74ccc726c2cf41045f480c666c56ef4a55dbcf553145a5c225d736a"),
     ("verify relations --base 8 --depth 4", 0, "ca407b831f463aa081c7d1e049a7ed92c437b8716a09224469856802ae35280b"),
+    ("verify digital-binomial --base 4 --depth 4", 0, "13009222eeb43d6d85870acd24630b2c2c9ff3600e780346fb3a6728b6aff9ba"),
+    ("verify digital-binomial --base 5 --depth 3 --format text", 0, "7303b222e644d5d6ff08d1e520213b75b9b222590c7308487e7e0b7dccf8b7ff"),
+    ("verify digital-binomial --base 6 --depth 3", 0, "1ced1e38e4a90dfd197e31e5d17154d6b21ba755ff2df09c4b9a9665cd5f4596"),
+    ("verify digital-binomial --base 2 --depth 10", 0, "695a8b0bfd7d810726988a03856cddf29d65dbb987e97a3ac2bafd4773c4bb64"),
     ("matrix S --base 1 --depth 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify exp --base 2 --depth 13", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matrix U --base 2 --depth 1 --eval 7/3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpmat.exactpoly import (
-    ONE, X, Y, ZERO, Polynomial, binom_rising, over_common_denominator, rising_table
+    ONE, X, Y, ZERO, Polynomial, binom_rising, over_common_denominator, rising_table,
+    sum_of_products,
 )
 from sierpmat.matrix import Matrix
 from sierpmat.ptm import UniPoly
@@ -287,6 +288,30 @@ def test_ops_match_fraction_reference(p, q, r, c, n):
         _assert_canonical(got)
         assert got.terms == {key: v for key, v in want.items() if v}
         assert all(type(v) is Fraction for v in got.terms.values())
+
+
+@given(pairs=st.lists(st.tuples(polynomials, polynomials), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_matches_pairwise_sum(pairs):
+    want = ZERO
+    for a, e in pairs:
+        want = want + a * e
+    got = sum_of_products(iter(pairs))
+    _assert_canonical(got)
+    assert type(got) is Polynomial and (got._num, got._den) == (want._num, want._den)
+    # every pair again with its sign flipped: the sum cancels to the zero polynomial
+    cancelled = sum_of_products(pairs + [(-a, e) for a, e in pairs])
+    assert (cancelled._num, cancelled._den) == ({}, 1)
+
+
+def test_sum_of_products_rescales_to_the_lcm_of_denominators():
+    # pair denominators 10, then 21 (the sum is rescaled to 210), then 10
+    half, third = X * Fraction(1, 2), X * Fraction(1, 3)
+    pairs = [(half, Y * Fraction(1, 5)), (third, Y * Fraction(1, 7) + 1), (Y, -X * Fraction(1, 10))]
+    got = sum_of_products(pairs)
+    assert got.terms == {(1, 1): Fraction(1, 21), (1, 0): Fraction(1, 3)}
+    assert got == half * Y * Fraction(1, 5) + third * (Y * Fraction(1, 7) + 1) - Y * X * Fraction(1, 10)
+    assert (sum_of_products([])._num, sum_of_products([])._den) == ({}, 1)
 
 
 @given(coeffs=st.lists(rationals, max_size=8))

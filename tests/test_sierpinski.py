@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpmat import sierpinski
-from sierpmat.digits import digit_sum, dominated_set, dominates, multiplicity, to_digits
-from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising
+from sierpmat.digits import (
+    _padded_digits, digit_sum, dominated_set, dominates, multiplicity, to_digits
+)
+from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising, rising_table
 from sierpmat.matrix import KroneckerChain, Matrix
 from sierpmat.sierpinski import (
     digital_binomial_sides,
@@ -222,44 +224,59 @@ def test_multiplicity_identity():
 
 
 def _digital_binomial_reference(n, b):
-    """Both sides with one binom_rising call per digit of every term."""
+    """digital_binomial_sides with the dominated sum formed term by term: one
+    Polynomial product per factor and one Polynomial sum per dominated m."""
+    digits = to_digits(n, b)
+    tx, ty, txy = (rising_table(max(digits), arg) for arg in (X, Y, X + Y))
     lhs = ONE
-    for d in to_digits(n, b):
-        lhs = lhs * binom_rising(d, X + Y)
+    for d in digits:
+        lhs = lhs * txy[d]
     rhs = ZERO
-    width = len(to_digits(n, b))
     for m in dominated_set(n, b):
-        dm = to_digits(m, b) + (0,) * width
+        dm, dn = _padded_digits(m, n, b)
         term = ONE
-        for dmi, dni in zip(dm, to_digits(n, b)):
-            term = term * binom_rising(dmi, X) * binom_rising(dni - dmi, Y)
+        for dmi, dni in zip(dm, dn):
+            term = term * tx[dmi] * ty[dni - dmi]
         rhs = rhs + term
     return lhs, rhs
 
 
 def _multiplicity_reference(n, b):
-    lhs, rhs = ONE, ZERO
+    """multiplicity_identity_sides with every term raised and summed afresh."""
+    tx, ty, txy = (rising_table(b - 1, arg) for arg in (X, Y, X + Y))
+    lhs = ONE
     for j in range(1, b):
-        lhs = lhs * binom_rising(j, X + Y) ** multiplicity(n, j, b)
+        lhs = lhs * txy[j] ** multiplicity(n, j, b)
+    rhs = ZERO
     for m in dominated_set(n, b):
         term = ONE
         for j in range(1, b):
-            term = term * binom_rising(j, X) ** multiplicity(m, j, b)
-            term = term * binom_rising(j, Y) ** multiplicity(n - m, j, b)
+            term = term * tx[j] ** multiplicity(m, j, b)
+            term = term * ty[j] ** multiplicity(n - m, j, b)
         rhs = rhs + term
     return lhs, rhs
 
 
-_SIDES_CASES = [(n, 2) for n in range(9)] + [(n, 3) for n in range(27)] + [
-    (n, 16) for n in (0, 1, 9, 15, 16, 0x3F, 0xF0, 0x102)
-]
+def _assert_same_sides(got, want):
+    for g, w in zip(got, want):
+        assert type(g) is type(w) is Polynomial
+        assert (g._num, g._den, str(g)) == (w._num, w._den, str(w))
+
+
+# the high bases take digits up to b - 1, so the pairs' denominators run up to (b-1)!^2 apiece
+_SIDES_CASES = (
+    [(n, 2) for n in range(9)]
+    + [(n, 3) for n in range(27)]
+    + [(n, 16) for n in (0, 1, 9, 15, 16, 0x3F, 0xF0, 0x102, 0xF7, 0x9C, 0x1F3)]
+    + [(n, 24) for n in (23 * 24 + 5, 2 * 576 + 11 * 24 + 7)]
+)
 
 
 @pytest.mark.parametrize("n, b", _SIDES_CASES)
 def test_sides_match_per_term_route(n, b):
     want = _digital_binomial_reference(n, b)
-    assert digital_binomial_sides(n, b) == want
-    assert multiplicity_identity_sides(n, b) == _multiplicity_reference(n, b)
+    _assert_same_sides(digital_binomial_sides(n, b), want)
+    _assert_same_sides(multiplicity_identity_sides(n, b), _multiplicity_reference(n, b))
     assert want[0] == want[1]
 
 
@@ -269,6 +286,29 @@ def test_sides_check_base_first():
             sides(3, 1)
         with pytest.raises(ValueError, match="base must be >= 2"):
             sides(3, 0)
+
+
+@pytest.mark.parametrize("b, depth", [(2, 9), (3, 6), (4, 4), (5, 4), (6, 3)])
+def test_sides_match_per_term_route_sweep(b, depth):
+    # every n below b^depth, the largest power of b up to 729
+    for n in range(b**depth):
+        _assert_same_sides(digital_binomial_sides(n, b), _digital_binomial_reference(n, b))
+        _assert_same_sides(multiplicity_identity_sides(n, b), _multiplicity_reference(n, b))
+
+
+@pytest.mark.parametrize("n, b", [(1, 2), (7, 2), (13, 2), (5, 3), (17, 3), (26, 3), (39, 4), (0x3F, 16)])
+def test_sides_sum_over_every_dominated_m(monkeypatch, n, b):
+    # the right sides run over sierpinski.dominated_set: drop one member and
+    # neither side may still balance
+    def all_but_one(n, b):
+        values = dominated_set(n, b)
+        del values[len(values) // 2]
+        return values
+
+    monkeypatch.setattr(sierpinski, "dominated_set", all_but_one)
+    for sides in (digital_binomial_sides, multiplicity_identity_sides):
+        lhs, rhs = sides(n, b)
+        assert lhs != rhs, (sides.__name__, n, b)
 
 
 def test_gould_small_and_symbolic():
