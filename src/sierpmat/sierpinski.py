@@ -96,7 +96,9 @@ def verify_one_parameter(
     return mismatch is None, mismatch
 
 
-def _prefix_products(digits: Sequence[int], table: Sequence[Polynomial], b: int) -> dict[int, Polynomial]:
+def _prefix_products(
+    digits: Sequence[int], table: Sequence[Polynomial], b: int
+) -> dict[int, Polynomial]:
     """{k: prod_i table[d_i(k)]} for every k whose digits sit below digits.
 
     Built a digit position at a time, as dominated_set builds its list: each
@@ -153,9 +155,9 @@ def multiplicity_identity_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]
     """Regrouped form of digital_binomial_sides: factors collected by digit
     value j with exponent = multiplicity of j. The j = 0 factor is 1.
 
-    Each m's digits are read once; each x-part and y-part is built once per
-    multiplicity vector within a call, and the sum over m runs on integer
-    numerators.
+    The digits of each m and n - m are read once; each x-part and y-part is
+    built once per multiplicity vector within a call, and the sum over m runs
+    on integer numerators.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

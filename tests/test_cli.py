@@ -414,13 +414,14 @@ def test_verify_stirling_caps_base_not_depth(capsys):
     _, shallow, _ = run(capsys, "verify", "stirling", "--base", "12", "--depth", "1")
     rows = json.loads(shallow)["checks"]
     assert rows and json.loads(deep)["checks"] == [dict(r, depth=4) for r in rows]
-    for argv, message in [
-        (("stirling", "--base", "5000", "--depth", "1"), "error: dimension 5000^1 exceeds cap 4096\n"),
-        (("stirling", "--base", "12", "--depth", "0"), "error: depth must be >= 1, got 0\n"),
-        (("exp", "--base", "12", "--depth", "4"), "error: dimension 12^4 exceeds cap 4096\n"),
-        (("all", "--base", "12", "--depth", "4"), "error: dimension 12^5 exceeds cap 4096\n"),
+    for suite, b, depth, message in [
+        ("stirling", 5000, 1, "dimension 5000^1 exceeds cap 4096"),
+        ("stirling", 12, 0, "depth must be >= 1, got 0"),
+        ("exp", 12, 4, "dimension 12^4 exceeds cap 4096"),
+        ("all", 12, 4, "dimension 12^5 exceeds cap 4096"),
     ]:
-        assert run(capsys, "verify", *argv) == (2, "", message)
+        argv = ("verify", suite, "--base", str(b), "--depth", str(depth))
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_verify_text_format(capsys):

@@ -310,7 +310,8 @@ def test_sum_of_products_rescales_to_the_lcm_of_denominators():
     pairs = [(half, Y * Fraction(1, 5)), (third, Y * Fraction(1, 7) + 1), (Y, -X * Fraction(1, 10))]
     got = sum_of_products(pairs)
     assert got.terms == {(1, 1): Fraction(1, 21), (1, 0): Fraction(1, 3)}
-    assert got == half * Y * Fraction(1, 5) + third * (Y * Fraction(1, 7) + 1) - Y * X * Fraction(1, 10)
+    want = half * Y * Fraction(1, 5) + third * (Y * Fraction(1, 7) + 1) - Y * X * Fraction(1, 10)
+    assert got == want
     assert (sum_of_products([])._num, sum_of_products([])._den) == ({}, 1)
 
 

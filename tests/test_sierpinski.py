@@ -296,7 +296,9 @@ def test_sides_match_per_term_route_sweep(b, depth):
         _assert_same_sides(multiplicity_identity_sides(n, b), _multiplicity_reference(n, b))
 
 
-@pytest.mark.parametrize("n, b", [(1, 2), (7, 2), (13, 2), (5, 3), (17, 3), (26, 3), (39, 4), (0x3F, 16)])
+@pytest.mark.parametrize(
+    "n, b", [(1, 2), (7, 2), (13, 2), (5, 3), (17, 3), (26, 3), (39, 4), (0x3F, 16)]
+)
 def test_sides_sum_over_every_dominated_m(monkeypatch, n, b):
     # the right sides run over sierpinski.dominated_set: drop one member and
     # neither side may still balance
