@@ -5,7 +5,7 @@ polynomial factorization, and the associated group relations."""
 import importlib
 
 from . import digits, exactpoly, matrix, ptm, sierpinski
-from .digits import carry_free, digit_sum, dominated_set, dominates
+from .digits import digit_sum, dominated_set, dominates
 from .exactpoly import ONE, X, Y, ZERO, Polynomial, Rational, binom_rising
 from .matrix import DEFAULT_CAP, KroneckerChain, Matrix, checked_dim
 from .ptm import UniPoly, ZeroSumVector
@@ -35,7 +35,6 @@ __all__ = [
     "matrix",
     "ptm",
     "sierpinski",
-    "carry_free",
     "digit_sum",
     "dominated_set",
     "dominates",

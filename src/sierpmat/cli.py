@@ -22,6 +22,20 @@ from . import ptm, sierpinski, suites
 from .matrix import DEFAULT_CAP, Matrix
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), refusing first an exponent past int()'s digit limit
+    (sys.get_int_max_str_digits(), 0 for none): Fraction("1e<k>") builds 10**k."""
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        huge = e and limit and abs(int(exponent)) > limit
+    except ValueError:
+        huge = False  # no decimal exponent: Fraction reports the text
+    if huge:
+        raise ValueError(f"exponent of {text.strip()!r} exceeds {limit} in magnitude")
+    return Fraction(text)
+
+
 def _emit_matrix(kind: str, args, x0: Optional[Fraction], mat: Matrix, symbolic: bool) -> str:
     cells = [[str(e) for e in row] for row in mat.rows]
     if args.format == "csv":
@@ -48,7 +62,7 @@ def cmd_matrix(args) -> int:
     kind, b, depth, cap = args.kind, args.base, args.depth, args.cap
     if args.eval is not None and kind not in ("S", "X"):
         raise ValueError("--eval applies only to S and X")
-    x0 = None if args.eval is None else Fraction(args.eval)
+    x0 = None if args.eval is None else _rational(args.eval)
     symbolic = x0 is None and kind in ("S", "X")
     # refuse before building: a symbolic matrix near the cap takes seconds
     if symbolic and args.format == "csv":
@@ -103,7 +117,7 @@ def cmd_verify(args) -> int:
 def cmd_ptm(args) -> int:
     if args.format == "csv":
         raise ValueError("csv format is only available for matrix output")
-    entries = tuple(Fraction(part.strip()) for part in args.zero_sum.split(","))
+    entries = tuple(_rational(part) for part in args.zero_sum.split(","))
     a = ptm.ZeroSumVector(args.base, entries)
     f, c, product = ptm.factorization(args.base, args.depth, a, args.cap)
     dim = len(c)

@@ -47,34 +47,11 @@ def parity_w(n: int) -> int:
     return digit_sum(n, 3) % 2
 
 
-def _padded_digits(m: int, n: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    dm = to_digits(m, b)
-    dn = to_digits(n, b)
-    width = max(len(dm), len(dn))
-    return dm + (0,) * (width - len(dm)), dn + (0,) * (width - len(dn))
-
-
 def dominates(m: int, n: int, b: int) -> bool:
     """True iff every base-b digit of m is <= the matching digit of n."""
-    dm, dn = _padded_digits(m, n, b)
-    return all(x <= y for x, y in zip(dm, dn))
-
-
-def carry_free(j: int, k: int, b: int) -> bool:
-    """True iff adding j and k in base b produces no carries.
-
-    Equivalent to digit_sum(j) + digit_sum(k) == digit_sum(j + k), and to
-    j being digitally dominated by j + k.
-    """
-    return digit_sum(j, b) + digit_sum(k, b) == digit_sum(j + k, b)
-
-
-def multiplicity(n: int, j: int, b: int) -> int:
-    """Number of base-b digits of n equal to j, for 1 <= j <= b - 1."""
-    _check_base(b)
-    if not 1 <= j <= b - 1:
-        raise ValueError(f"digit value must be in [1, {b - 1}], got {j}")
-    return sum(1 for d in to_digits(n, b) if d == j)
+    dm, dn = to_digits(m, b), to_digits(n, b)
+    # past its top digit n reads 0, so m must not be longer
+    return len(dm) <= len(dn) and all(x <= y for x, y in zip(dm, dn))
 
 
 def dominated_set(n: int, b: int) -> list[int]:

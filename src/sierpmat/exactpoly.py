@@ -282,34 +282,15 @@ def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int,
 
 
 def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """sum of a * e over the (a, e) pairs, on the integer numerators.
-
-    Every pair is convolved into one dict at the running lcm of the pairs'
-    denominators (rescaled only when a pair's denominator does not divide
-    it), as product_rows sums one cell; one reduction at the end. No
-    Polynomial is formed per pair or per partial sum.
+    """sum of a * e over the (a, e) pairs, on the integer numerators: the one
+    cell of product_rows for the row {k: a_k} times the column [{0: e_k}].
 
     >>> str(sum_of_products([(X, Y), (X * Fraction(1, 2), X + 1), (Y, -X)]))
     '(1/2)*x^2 + (1/2)*x'
     """
-    num: dict[tuple[int, int], int] = {}
-    den = 1
-    for a, e in pairs:
-        d = a._den * e._den
-        if den % d:
-            new = lcm(den, d)
-            f = new // den
-            for key in num:
-                num[key] *= f
-            den = new
-        scale = den // d
-        eterms = e._num.items()
-        for (ax, ay), ac in a._num.items():
-            ac *= scale
-            for (bx, by), bc in eterms:
-                key = (ax + bx, ay + by)
-                num[key] = num.get(key, 0) + ac * bc
-    return Polynomial._reduced({key: c for key, c in num.items() if c}, den)
+    pairs = list(pairs)
+    cells = product_rows([dict(enumerate(a for a, _ in pairs))], [{0: e} for _, e in pairs])
+    return cells[0].get(0, ZERO)
 
 
 def _as_poly(value):

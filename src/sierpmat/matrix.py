@@ -255,7 +255,37 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})\n{self}"
 
 
-class KroneckerChain:
+class Record:
+    """Base of the immutable value types: each subclass lists its fields in
+    __slots__ and sets them once, through _set. A record equals only a record
+    of its own type with equal fields; its hash and repr are its fields'."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class KroneckerChain(Record):
     """The depth-fold Kronecker power of a square seed, held as (seed, depth);
     every family here but the Kronecker sum X(x) is one. Immutable, and
     unhashable as its Matrix seed is; equal when seed and depth are equal."""
@@ -266,19 +296,7 @@ class KroneckerChain:
         if base_factor.nrows != base_factor.ncols:
             raise ValueError("chain factor must be square")
         _check_depth(depth)
-        object.__setattr__(self, "base_factor", base_factor)
-        object.__setattr__(self, "depth", depth)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KroneckerChain is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.base_factor, self.depth) == (other.base_factor, other.depth)
-
-    def __repr__(self):
-        return f"KroneckerChain(base_factor={self.base_factor!r}, depth={self.depth!r})"
+        self._set(base_factor, depth)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .digits import _check_base, dominated_set, parity_w, ptm, to_digits
 from .exactpoly import Polynomial, over_common_denominator
-from .matrix import DEFAULT_CAP, Matrix, checked_dim, kron_chain
+from .matrix import DEFAULT_CAP, Matrix, Record, checked_dim, kron_chain
 from .sierpinski import structured_apply
 
 __all__ = [
@@ -40,14 +40,13 @@ __all__ = [
     "v_matrix",
     "power_relation_check",
     "eigen_poly_annihilation_check",
-    "braid_products",
     "braid_check",
     "square_relation_check",
     "random_zero_sum",
 ]
 
 
-class ZeroSumVector:
+class ZeroSumVector(Record):
     """b exact rationals that sum to zero. Immutable and hashable; equal
     when base and entries are equal."""
 
@@ -61,22 +60,7 @@ class ZeroSumVector:
         total = sum(entries)
         if total != 0:
             raise ValueError(f"entries sum to {total}, expected 0")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZeroSumVector is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.base, self.entries) == (other.base, other.entries)
-
-    def __hash__(self):
-        return hash((self.base, self.entries))
-
-    def __repr__(self):
-        return f"ZeroSumVector(base={self.base!r}, entries={self.entries!r})"
+        self._set(base, entries)
 
 
 class UniPoly(Polynomial):
@@ -269,13 +253,18 @@ def _tst_base(b: int) -> Matrix:
     return _v_base(b) * _t_base(b)
 
 
+def _powers_are_signed_identity(seeds, b: int, depth: int, k: int, sign: int, cap: int) -> bool:
+    """Is the chain of seed(b)^k, expanded, sign^depth * I for every seed?
+    Each power is the chain of its seed's power (mixed-product property), so
+    only b x b products are formed."""
+    target = Matrix.identity(checked_dim(b, depth, cap), one=sign**depth)
+    return all(kron_chain(seed, b, depth, cap).power(k).dense() == target for seed in seeds)
+
+
 def power_relation_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> bool:
-    """U^(b+1) == V^(b+1) == (-1)^(depth*(b+1)) * I, exactly. Each power is
-    the chain of its seed's power (mixed-product property), so only b x b
-    products are formed."""
-    target = Matrix.identity(checked_dim(b, depth, cap), one=-1 if (depth * (b + 1)) % 2 else 1)
-    powers = (kron_chain(seed, b, depth, cap).power(b + 1) for seed in (_u_base, _v_base))
-    return all(p.dense() == target for p in powers)
+    """U^(b+1) == V^(b+1) == (-1)^(depth*(b+1)) * I, exactly."""
+    sign = (-1) ** (b + 1)
+    return _powers_are_signed_identity((_u_base, _v_base), b, depth, b + 1, sign, cap)
 
 
 def eigen_poly_annihilation_check(b: int) -> bool:
@@ -295,26 +284,18 @@ def eigen_poly_annihilation_check(b: int) -> bool:
     return True
 
 
-def braid_products(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[Matrix, Matrix]:
-    """(S T S, T S T) for S = s_int(b, depth) and T = t_matrix(b, depth): the
-    Kronecker powers of the seeds S_1 T_1 S_1 and T_1 S_1 T_1."""
-    return tuple(kron_chain(seed, b, depth, cap).dense() for seed in (_sts_base, _tst_base))
-
-
 def braid_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> tuple[bool, Optional[tuple]]:
     """Does S T S == T S T? True for b = 2, false for b > 2; on failure the
-    witness is (row, col, lhs, rhs) of the first row-major mismatch."""
-    sts, tst = braid_products(b, depth, cap)
+    witness is (row, col, lhs, rhs) of the first row-major mismatch. The
+    sides are the Kronecker powers of the seeds S_1 T_1 S_1 and T_1 S_1 T_1."""
+    sts, tst = (kron_chain(seed, b, depth, cap).dense() for seed in (_sts_base, _tst_base))
     mismatch = sts.first_mismatch(tst)
     return mismatch is None, mismatch
 
 
 def square_relation_check(depth: int, cap: int = DEFAULT_CAP) -> bool:
-    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly, as
-    chains of the squared seeds."""
-    target = Matrix.identity(checked_dim(2, depth, cap), one=-1 if depth % 2 else 1)
-    squares = (kron_chain(seed, 2, depth, cap).power(2) for seed in (_sts_base, _tst_base))
-    return all(q.dense() == target for q in squares)
+    """At base 2, (S T S)^2 == (T S T)^2 == (-1)^depth * I, exactly."""
+    return _powers_are_signed_identity((_sts_base, _tst_base), 2, depth, 2, -1, cap)
 
 
 def random_zero_sum(b: int, rng: Random) -> ZeroSumVector:

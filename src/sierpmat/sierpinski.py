@@ -178,9 +178,7 @@ def gould_check(n: int) -> bool:
         raise ValueError(f"n must be non-negative, got {n}")
     # C(x+k, k) is the rising binomial in x+1
     tx, ty = rising_table(n, X + 1), rising_table(n, Y + 1)
-    lhs = ZERO
-    for k in range(n + 1):
-        lhs = lhs + tx[k] * ty[n - k]
+    lhs = sum_of_products((tx[k], ty[n - k]) for k in range(n + 1))
     return lhs == binom_rising(n, X + Y + 2)
 
 
@@ -190,11 +188,8 @@ def shifted_gould_check(p: int, q: int) -> bool:
     if not 1 <= q <= p:
         raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
     tx, ty = rising_table(p - q, X), rising_table(p - q, Y)
-    lhs = ZERO
-    for v in range(q, p + 1):
-        lhs = lhs + tx[p - v] * ty[v - q]
-    rhs = binom_rising(p - q, X + Y)
-    return lhs == rhs
+    lhs = sum_of_products((tx[p - v], ty[v - q]) for v in range(q, p + 1))
+    return lhs == binom_rising(p - q, X + Y)
 
 
 def stirling_first(n: int, k: int) -> int:

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from . import digits, exactpoly, matrix, ptm, sierpinski
 
 
-class Check:
+class Check(matrix.Record):
     """One report row: status is "pass", "fail" or "expected-fail", and a
     row that does not pass may carry its witness, a dict of plain values.
     Immutable; equal when all three fields are equal, and hashable only
@@ -27,23 +27,7 @@ class Check:
     __slots__ = ("name", "status", "witness")
 
     def __init__(self, name: str, status: str, witness: Optional[dict] = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Check is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.name, self.status, self.witness) == (other.name, other.status, other.witness)
-
-    def __hash__(self):
-        return hash((self.name, self.status, self.witness))
-
-    def __repr__(self):
-        return f"Check(name={self.name!r}, status={self.status!r}, witness={self.witness!r})"
+        self._set(name, status, witness)
 
 
 def _check(name: str, ok: bool, witness=None, expected_fail=False) -> Check:

@@ -62,12 +62,13 @@ def test_matrix_s_eval_json(capsys):
 
 
 def test_matrix_eval_rational_point(capsys):
-    code, out, _ = run(
-        capsys, "matrix", "S", "--base", "2", "--depth", "1", "--eval", "3/2"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["entries"][1][0] == "3/2"
+    for x0 in ("3/2", "15E-1"):
+        code, out, _ = run(
+            capsys, "matrix", "S", "--base", "2", "--depth", "1", "--eval", x0
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["entries"][1][0] == "3/2"
 
 
 def test_matrix_csv_numeric(capsys):
@@ -601,6 +602,20 @@ def test_module_entry_has_clean_stderr():
     proc = _python("-m", "sierpmat.cli", "matrix", "S", "--depth", "1")
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["dim"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "S", "--depth", "1", "--eval", "1e99999999999"),
+        ("ptm", "--zero-sum=1e999999999999,-1e999999999999"),
+    ],
+)
+def test_huge_exponent_is_refused_before_fraction_runs(argv):
+    # Fraction("1e<k>") builds 10**k; an exponent past int()'s digit limit is refused first
+    proc = _python("-m", "sierpmat.cli", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: exponent") and proc.stderr.count("\n") == 1
 
 
 def test_cli_import_leaves_dataclasses_unloaded():

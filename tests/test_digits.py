@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpmat.digits import (
-    carry_free,
     digit_sum,
     dominated_set,
     dominates,
-    multiplicity,
     parity_w,
     ptm,
     to_digits,
@@ -88,24 +86,6 @@ def test_dominance_is_a_partial_order():
                     assert dominates(m, p, 3)
 
 
-def test_carry_free_examples():
-    assert carry_free(8, 2, 2)
-    assert not carry_free(1, 1, 2)
-    assert carry_free(17, 0, 5)
-
-
-@given(
-    j=st.integers(min_value=0, max_value=124),
-    k=st.integers(min_value=0, max_value=124),
-    b=st.sampled_from([2, 3, 4, 5]),
-)
-@settings(max_examples=300)
-def test_carry_free_equivalent_to_dominance(j, k, b):
-    expected = dominates(j, j + k, b)
-    assert carry_free(j, k, b) == expected
-    assert carry_free(j, k, b) == dominates(k, j + k, b)
-
-
 @given(
     j=st.integers(min_value=0, max_value=5000),
     k=st.integers(min_value=0, max_value=5000),
@@ -115,25 +95,13 @@ def test_digit_sum_subadditive(j, k, b):
     lhs = digit_sum(j + k, b)
     rhs = digit_sum(j, b) + digit_sum(k, b)
     assert lhs <= rhs
-    assert (lhs == rhs) == carry_free(j, k, b)
-
-
-def test_multiplicity_examples():
-    assert multiplicity(10, 1, 2) == 2
-    assert multiplicity(0, 2, 3) == 0
-    assert multiplicity(5, 2, 3) == 1
-
-
-def test_multiplicity_rejects_out_of_range_digit():
-    with pytest.raises(ValueError):
-        multiplicity(5, 0, 3)
-    with pytest.raises(ValueError):
-        multiplicity(5, 3, 3)
+    # no carry exactly when j sits below j + k digit by digit
+    assert (lhs == rhs) == dominates(j, j + k, b)
 
 
 @given(n=st.integers(min_value=0, max_value=10**6), b=st.integers(min_value=2, max_value=9))
 def test_weighted_multiplicities_recover_digit_sum(n, b):
-    assert sum(j * multiplicity(n, j, b) for j in range(1, b)) == digit_sum(n, b)
+    assert sum(j * to_digits(n, b).count(j) for j in range(1, b)) == digit_sum(n, b)
 
 
 def brute_dominated(n, b):

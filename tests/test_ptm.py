@@ -14,7 +14,6 @@ from sierpmat.ptm import (
     ZeroSumVector,
     base3_corollary_check,
     braid_check,
-    braid_products,
     coefficients_by_formula,
     coefficients_by_matrix,
     eigen_poly_annihilation_check,
@@ -456,6 +455,12 @@ def test_u_v_displays_b2():
 _DESK_SIZES = [(b, n) for b in (2, 3, 4, 5) for n in range(1, 10) if b**n <= 729]
 
 
+def _braid_sides(b, depth):
+    # the braid products S T S and T S T, expanded from the chains of their seeds
+    seeds = (ptm_mod._sts_base, ptm_mod._tst_base)
+    return tuple(kron_chain(seed, b, depth).dense() for seed in seeds)
+
+
 @pytest.mark.parametrize("b, depth", _DESK_SIZES)
 def test_seed_products_match_dense_products(b, depth):
     # U, V and the braid products are Kronecker powers of seed products; the
@@ -464,7 +469,7 @@ def test_seed_products_match_dense_products(b, depth):
     assert t == m_matrix(b, depth).transpose()
     assert u_matrix(b, depth) == s * t
     assert v_matrix(b, depth) == t * s
-    assert braid_products(b, depth) == (s * t * s, t * s * t)
+    assert _braid_sides(b, depth) == (s * t * s, t * s * t)
 
 
 @pytest.mark.parametrize("b, depth", _DESK_SIZES)
@@ -475,7 +480,7 @@ def test_seed_powers_match_dense_powers(b, depth):
         assert kron_chain(seed, b, depth).power(b + 1).dense() == dense(b, depth).power(b + 1)
     if b == 2:
         seeds = (ptm_mod._sts_base, ptm_mod._tst_base)
-        for seed, product in zip(seeds, braid_products(b, depth)):
+        for seed, product in zip(seeds, _braid_sides(b, depth)):
             assert kron_chain(seed, b, depth).power(2).dense() == product.power(2)
 
 
@@ -523,6 +528,16 @@ def test_power_relations(b, depth):
     assert power_relation_check(b, depth)
 
 
+def test_power_relation_fails_on_a_wrong_seed(monkeypatch):
+    u = ptm_mod._u_base
+    # (-U_1)^3 == I, not -I: the chain's sign is wrong at odd depth only
+    monkeypatch.setattr(ptm_mod, "_u_base", lambda b: -u(b))
+    assert [power_relation_check(2, depth) for depth in (1, 2, 3)] == [False, True, False]
+    monkeypatch.setattr(ptm_mod, "_u_base", ptm_mod._s_int_base)
+    for depth in (1, 2, 3):
+        assert power_relation_check(2, depth) is False
+
+
 @pytest.mark.parametrize("b", [2, 3, 4, 5])
 def test_eigen_poly_annihilation(b):
     assert eigen_poly_annihilation_check(b)
@@ -561,7 +576,7 @@ def test_q_and_r_squares_b2():
 def test_checks_share_braid_products(monkeypatch):
     for b, depth in ((2, 1), (2, 3), (3, 2)):
         s, t = s_int(b, depth), t_matrix(b, depth)
-        assert braid_products(b, depth) == (s * t * s, t * s * t)
+        assert _braid_sides(b, depth) == (s * t * s, t * s * t)
     sts, s = ptm_mod._sts_base, ptm_mod._s_int_base
     for depth in (1, 2, 3):
         # both checks read the braid seeds: S_1 T_1 S_1 in place of T_1 S_1 T_1

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpmat import sierpinski
-from sierpmat.digits import (
-    _padded_digits, digit_sum, dominated_set, dominates, multiplicity, to_digits
-)
+from sierpmat.digits import digit_sum, dominated_set, dominates, to_digits
 from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising, rising_table
 from sierpmat.matrix import KroneckerChain, Matrix
 from sierpmat.sierpinski import (
@@ -233,9 +231,9 @@ def _digital_binomial_reference(n, b):
         lhs = lhs * txy[d]
     rhs = ZERO
     for m in dominated_set(n, b):
-        dm, dn = _padded_digits(m, n, b)
         term = ONE
-        for dmi, dni in zip(dm, dn):
+        # m sits below n, so it has no more digits than n
+        for dmi, dni in zip(to_digits(m, b) + (0,) * len(digits), digits):
             term = term * tx[dmi] * ty[dni - dmi]
         rhs = rhs + term
     return lhs, rhs
@@ -246,13 +244,13 @@ def _multiplicity_reference(n, b):
     tx, ty, txy = (rising_table(b - 1, arg) for arg in (X, Y, X + Y))
     lhs = ONE
     for j in range(1, b):
-        lhs = lhs * txy[j] ** multiplicity(n, j, b)
+        lhs = lhs * txy[j] ** to_digits(n, b).count(j)
     rhs = ZERO
     for m in dominated_set(n, b):
         term = ONE
         for j in range(1, b):
-            term = term * tx[j] ** multiplicity(m, j, b)
-            term = term * ty[j] ** multiplicity(n - m, j, b)
+            term = term * tx[j] ** to_digits(m, b).count(j)
+            term = term * ty[j] ** to_digits(n - m, b).count(j)
         rhs = rhs + term
     return lhs, rhs
 
