@@ -36,8 +36,22 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _strs(values) -> list[str]:
+    """str() of each value, where an int longer than str()'s limit
+    (sys.get_int_max_str_digits()) is a usage error that names the limit."""
+    try:
+        return [str(v) for v in values]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an entry has more than {limit} digits, the output's digit limit") from None
+
+
 def _emit_matrix(kind: str, args, x0: Optional[Fraction], mat: Matrix, symbolic: bool) -> str:
-    cells = [[str(e) for e in row] for row in mat.rows]
+    rows = mat.rows
+    # each distinct entry object is formatted once, as Matrix.map keys them
+    distinct = {id(e): e for row in rows for e in row}
+    text = dict(zip(distinct, _strs(distinct.values())))
+    cells = [[text[id(e)] for e in row] for row in rows]
     if args.format == "csv":
         return "\n".join(",".join(row) for row in cells)
     if args.format == "text":
@@ -127,10 +141,10 @@ def cmd_ptm(args) -> int:
     report = {
         "base": args.base,
         "depth": args.depth,
-        "zero_sum": [str(e) for e in a.entries],
-        "f_coefficients": [str(v) for v in f_coeffs],
-        "p_coefficients": [str(v) for v in c],
-        "product_coefficients": [str(v) for v in prod_coeffs],
+        "zero_sum": _strs(a.entries),
+        "f_coefficients": _strs(f_coeffs),
+        "p_coefficients": _strs(c),
+        "product_coefficients": _strs(prod_coeffs),
         "equal": equal,
     }
     if args.format == "text":

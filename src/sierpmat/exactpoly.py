@@ -234,8 +234,11 @@ def over_common_denominator(values: Sequence, what: str) -> tuple[list[int], int
     for v in values:
         if not isinstance(v, _SCALARS):
             raise TypeError(f"expected int or Fraction {what} entries, got {type(v).__name__}")
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    # one division of the lcm per distinct denominator
+    dens = {v.denominator for v in values}
+    d = lcm(*dens)
+    scale = {q: d // q for q in dens}
+    return [v.numerator * scale[v.denominator] for v in values], d
 
 
 def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int, Polynomial]]:

@@ -12,9 +12,11 @@ so every operation touches stored entries only: A * B runs row by row
 every stored entry of both factors is exactly a Polynomial, each output
 cell sums its pairs on integer numerators (exactpoly.product_rows) and
 forms one Polynomial; any other entries take the generic loop, one entry
-product and one sum per pair. A.map(fn) calls fn once per distinct entry,
-which is why entries must be hashable. `rows` is a dense view, built on
-each access.
+product and one sum per pair. A.kron(B) forms one product per pair of
+stored objects, so the equal cells of a Kronecker power share a few objects,
+and A.map(fn) calls fn once per distinct entry (looked up by identity before
+it is hashed), which is why entries must be hashable. `rows` is a dense
+view, built on each access.
 """
 
 from __future__ import annotations
@@ -188,13 +190,27 @@ class Matrix:
         return acc
 
     def kron(self, other: Matrix) -> Matrix:
-        """Kronecker product; the left factor indexes the blocks."""
+        """Kronecker product; the left factor indexes the blocks.
+
+        Each product a * b is formed once per pair of stored objects (a, b),
+        and every cell it fills shares that one result. Both factors hold
+        their entries for the whole call, so the ids of the memo stay unique.
+        """
         w = other.ncols
-        rows = [
-            {ja * w + jb: a * b for ja, a in ra.items() for jb, b in rb.items()}
-            for ra in self._rows
-            for rb in other._rows
-        ]
+        memo = {}  # id(a) -> {id(b): a * b}
+        rows = []
+        for ra in self._rows:
+            for rb in other._rows:
+                row = {}
+                for ja, a in ra.items():
+                    by_b = memo.setdefault(id(a), {})
+                    base = ja * w
+                    for jb, b in rb.items():
+                        p = by_b.get(id(b))
+                        if p is None:
+                            p = by_b[id(b)] = a * b
+                        row[base + jb] = p
+                rows.append(row)
         return Matrix._of(rows, self.ncols * w, self.zero * other.zero)
 
     def transpose(self) -> Matrix:
@@ -217,14 +233,20 @@ class Matrix:
         >>> calls
         [2, 0]
         """
-        memo = {}
+        # a shared object (as Kronecker products share them) is looked up by
+        # id first and hashed once; the (type, value) memo joins equal values
+        by_id, memo = {}, {}
 
         def once(e):
-            key = (type(e), e)
             try:
-                return memo[key]
+                return by_id[id(e)]
             except KeyError:
-                result = memo[key] = fn(e)
+                key = (type(e), e)
+                try:
+                    result = memo[key]
+                except KeyError:
+                    result = memo[key] = fn(e)
+                by_id[id(e)] = result
                 return result
 
         out = [{j: once(e) for j, e in row.items()} for row in self._rows]

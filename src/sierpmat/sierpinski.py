@@ -199,15 +199,20 @@ def stirling_first(n: int, k: int) -> int:
         raise ValueError(f"indices must be non-negative, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"need k <= n, got n={n}, k={k}")
-    # row DP on c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)
-    row = [1]
-    for m in range(1, n + 1):
+    return _stirling_rows(n)[n][k]
+
+
+def _stirling_rows(top: int) -> list[list[int]]:
+    """The rows [c(m, 0), ..., c(m, m)] for m = 0..top, each from the last
+    by c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)."""
+    rows = [[1]]
+    for m in range(1, top + 1):
         new = [0] * (m + 1)
-        for j, c in enumerate(row):
+        for j, c in enumerate(rows[-1]):
             new[j] += (m - 1) * c
             new[j + 1] += c
-        row = new
-    return row[k]
+        rows.append(new)
+    return rows
 
 
 def stirling_identity_check(l: int, n: int) -> bool:
@@ -251,17 +256,19 @@ def x_power_entry_check(b: int) -> tuple[bool, Optional[int]]:
     form (n!/(j-k)!) c(j-k, n) x^n for j >= k+n, zero elsewhere.
 
     Each power is the previous one times x_base(b), b - 2 products in all,
-    and each closed form is built once per difference j - k. Returns
-    (True, None) or (False, n) for the first n whose power differs.
+    each closed form is built once per difference j - k, and the c(d, n)
+    come from one Stirling triangle. Returns (True, None) or (False, n) for
+    the first n whose power differs.
     """
     seed = x_base(b)
     power = seed
+    cycles = _stirling_rows(b - 1)
     for n in range(1, b):
         if n > 1:
             power = power * seed
         xn = X**n
         by_diff = [ZERO] * n + [
-            xn * (Fraction(factorial(n), factorial(d)) * stirling_first(d, n)) for d in range(n, b)
+            xn * (Fraction(factorial(n), factorial(d)) * cycles[d][n]) for d in range(n, b)
         ]
         closed = Matrix([[by_diff[j - k] if j >= k else ZERO for k in range(b)] for j in range(b)])
         if power != closed:
@@ -279,7 +286,8 @@ def matrix_exp_nilpotent(x_mat: Matrix) -> Matrix:
     result = Matrix.identity(x_mat.nrows, one=ONE, zero=ZERO)
     term = result
     for n in range(1, x_mat.nrows):
-        term = term * x_mat * Fraction(1, n)
+        # scale X, whose Kronecker entries are shared, rather than each fresh cell of the term
+        term = term * (x_mat * Fraction(1, n))
         if not term.nnz:
             break
         result = result + term
@@ -295,7 +303,8 @@ def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:
     rounds run on Python ints over the factor's nonzero entries only
     (b(b+1)/2 of them for a lower-triangular seed), and each entry is
     divided once by da^depth * dv at the end: O(depth * nnz * b^(depth-1))
-    integer operations in all. Entries must be int or Fraction (TypeError
+    integer operations in all. A unit entry adds its block unmultiplied,
+    and each row's sum starts from its first term, not from zeros. Entries must be int or Fraction (TypeError
     otherwise); the result is a list of Fractions.
     """
     b = chain.base_factor.nrows
@@ -313,9 +322,13 @@ def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:
         blocks = [v[t * m : (t + 1) * m] for t in range(b)]
         out = [0] * len(v)
         for i, pairs in enumerate(rows):
-            acc = [0] * m
-            for t, c in pairs:
-                acc = list(map(add, acc, map(mul, repeat(c), blocks[t])))
+            if not pairs:
+                continue  # a zero row leaves its zeros
+            # the first term starts the sum; a unit entry adds its block as it is
+            (t, c), *rest = pairs
+            acc = blocks[t] if c == 1 else list(map(mul, repeat(c), blocks[t]))
+            for t, c in rest:
+                acc = list(map(add, acc, blocks[t] if c == 1 else map(mul, repeat(c), blocks[t])))
             out[i::b] = acc
         v = out
     d = da**chain.depth * dv

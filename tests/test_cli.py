@@ -618,6 +618,22 @@ def test_huge_exponent_is_refused_before_fraction_runs(argv):
     assert proc.stderr.startswith("error: exponent") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "S", "--depth", "1", "--eval", "1e4300"),
+        ("matrix", "X", "--base", "3", "--depth", "1", "--eval", "1e-4300", "--format", "text"),
+        ("ptm", "--zero-sum=1e4300,-1e4300"),
+        ("ptm", "--zero-sum=1e4300,-1e4300", "--format", "text"),
+    ],
+)
+def test_entry_past_digit_limit_is_one_line_usage_error(argv):
+    # 10**4300 has 4301 digits: the input is admitted, but no entry of that length prints
+    proc = _python("-m", "sierpmat.cli", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: an entry has more than 4300 digits, the output's digit limit\n"
+
+
 def test_cli_import_leaves_dataclasses_unloaded():
     # dataclasses pulls in inspect, ast and dis: start-up cost on every CLI run
     proc = _python(

@@ -319,6 +319,31 @@ def test_map_calls_fn_once_per_distinct_entry(picks, width):
     assert len(calls) == len(set(calls)) == len({(type(e), e) for e in entries})
 
 
+def test_map_calls_fn_once_per_value_shared_or_not():
+    shared = X + 1
+    copies = [X + 1 for _ in range(3)]  # equal values held in distinct objects
+    m = Matrix([[shared, shared, 0], [copies[0], copies[1], Fraction(0)], [copies[2], ZERO, shared]])
+    calls = []
+    got = m.map(lambda e: calls.append(e) or e * 2)
+    assert sorted(map(str, calls)) == ["0", "0", "0", "x + 1"]
+    assert {type(e) for e in calls} == {int, Fraction, Polynomial}
+    assert got == Matrix([[2 * X + 2] * 2 + [0], [2 * X + 2] * 2 + [0], [2 * X + 2, 0, 2 * X + 2]])
+    assert [type(r[-1]) for r in got.rows] == [int, Fraction, Polynomial]
+    assert type(got[2, 1]) is Polynomial
+
+
+def test_kron_shares_one_product_per_pair_of_objects():
+    a = Matrix([[X, ZERO], [X, X]])
+    b = Matrix([[Y, Y], [ZERO, Y]])
+    k = a.kron(b)
+    stored = [e for row in k.rows for e in row if e]
+    assert len(stored) == 9 and all(e == X * Y for e in stored)
+    assert len({id(e) for e in stored}) == 1
+    # equal values in distinct objects are multiplied apart, each once
+    c = Matrix([[X + 1, X + 1]])
+    assert len({id(e) for e in c.kron(c).rows[0]}) == 4
+
+
 def test_map_keeps_zero_types_apart():
     m = Matrix([[0, Fraction(0)], [ZERO, UniPoly([])]])
     assert [[type(e) for e in r] for r in m.map(lambda e: e).rows] == [

@@ -468,12 +468,30 @@ def test_x_power_sweep_builds_each_power_from_the_last(monkeypatch, b):
     assert products == b - 2
 
 
+def test_x_power_sweep_reads_one_stirling_triangle(monkeypatch):
+    tops = []
+    rows = sierpinski._stirling_rows
+
+    def counting_rows(top):
+        tops.append(top)
+        return rows(top)
+
+    monkeypatch.setattr(sierpinski, "_stirling_rows", counting_rows)
+    monkeypatch.setattr(sierpinski, "stirling_first", None)  # not called per (d, n)
+    assert x_power_entry_check(12) == (True, None)
+    assert tops == [11]
+
+
 @pytest.mark.parametrize("d, n", [(1, 1), (4, 2), (5, 3), (5, 5)])
 def test_x_power_witness_is_first_wrong_power(monkeypatch, d, n):
-    def wrong_at_one_cell(dd, nn):
-        return stirling_first(dd, nn) + ((dd, nn) == (d, n))
+    rows = sierpinski._stirling_rows
 
-    monkeypatch.setattr(sierpinski, "stirling_first", wrong_at_one_cell)
+    def wrong_at_one_cell(top):
+        triangle = rows(top)
+        triangle[d][n] += 1
+        return triangle
+
+    monkeypatch.setattr(sierpinski, "_stirling_rows", wrong_at_one_cell)
     assert x_power_entry_check(6) == (False, n)
 
 
@@ -544,6 +562,45 @@ def test_chain_validation():
     chain = s_chain(2, 3, 1)
     assert chain.dim == 8
     assert chain.base_factor == Matrix([[1, 0], [1, 1]])
+
+
+def test_s_matrix_shares_its_kronecker_entries():
+    # 729 stored entries hold 7 distinct values; the 2^6 pairs of seed objects bound the objects
+    m = s_matrix(2, 6)
+    stored = [e for row in m.rows for e in row if e]
+    assert len(stored) == 729
+    assert len({id(e) for e in stored}) <= 64
+    assert all(m[j, k] == s_entry(2, 6, j, k) for j in range(64) for k in range(64))
+
+
+def _signed_seed(b):
+    # 0, 1 and -1 entries on and below the diagonal, with an all-zero middle row
+    return Matrix(
+        [[(-1) ** (j + k) if k <= j and j != b // 2 else 0 for k in range(b)] for j in range(b)]
+    )
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        lambda b: x_base(b).map(lambda p: p.eval(1)),  # unit entries, zero first row
+        lambda b: x_base(b).map(lambda p: p.eval(-1)),  # -1 entries, zero first row
+        _signed_seed,
+    ],
+    ids=["x_base(1)", "x_base(-1)", "signed"],
+)
+def test_structured_apply_unit_and_zero_rows_match_dense(seed):
+    rng = Random(21)
+    for b in range(2, 10):
+        for depth in range(1, 10):
+            if b**depth > 729:
+                break
+            chain = KroneckerChain(seed(b), depth)
+            dense = chain.dense()
+            ints = [rng.randint(-9, 9) for _ in range(chain.dim)]
+            fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(chain.dim)]
+            for v in (ints, fractions):
+                assert structured_apply(chain, v) == dense.matvec(v), (b, depth)
 
 
 def test_structured_apply_depth1_is_dense():
