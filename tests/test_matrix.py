@@ -339,9 +339,6 @@ def test_kron_shares_one_product_per_pair_of_objects():
     stored = [e for row in k.rows for e in row if e]
     assert len(stored) == 9 and all(e == X * Y for e in stored)
     assert len({id(e) for e in stored}) == 1
-    # equal values in distinct objects are multiplied apart, each once
-    c = Matrix([[X + 1, X + 1]])
-    assert len({id(e) for e in c.kron(c).rows[0]}) == 4
 
 
 def test_map_keeps_zero_types_apart():
