@@ -33,7 +33,10 @@ def _rational(text: str) -> Fraction:
         huge = False  # no decimal exponent: Fraction reports the text
     if huge:
         raise ValueError(f"exponent of {text.strip()!r} exceeds {limit} in magnitude")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def _strs(values) -> list[str]:

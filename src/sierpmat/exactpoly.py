@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -152,18 +151,18 @@ class Polynomial:
         return hash((frozenset(num.items()), self._den))
 
     def eval(self, x0, y0=0) -> Fraction:
-        """Exact evaluation at a rational point; a ring homomorphism.
-
-        Sparse Horner: one step per term in x within each power of y, then
-        one step per power of y, so x^1000 + 1 costs two steps, not 1000.
-        The numerators are summed first and divided by the denominator once.
-        """
-        x0 = Fraction(x0)
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (ex, ey), c in self._num.items():
-            rows.setdefault(ey, []).append((ex, c))
-        acc = _horner([(ey, _horner(row, x0)) for ey, row in rows.items()], Fraction(y0))
-        return acc / self._den
+        """Exact evaluation at a rational point; a ring homomorphism. With
+        x0 = p/q and y0 = r/s, each term c x^ex y^ey is c p^ex q^(dx-ex) r^ey
+        s^(dy-ey) over den q^dx s^dy: one integer sum and one Fraction."""
+        p, q = Fraction(x0).as_integer_ratio()
+        r, s = Fraction(y0).as_integer_ratio()
+        dx = max((ex for ex, _ in self._num), default=0)
+        dy = max((ey for _, ey in self._num), default=0)
+        total = sum(
+            c * p**ex * q ** (dx - ex) * r**ey * s ** (dy - ey)
+            for (ex, ey), c in self._num.items()
+        )
+        return Fraction(total, self._den * q**dx * s**dy)
 
     def compose(self, px=None, py=None) -> Polynomial:
         """Substitute polynomials (or scalars) for x and y."""
@@ -207,21 +206,6 @@ class Polynomial:
 
     def __repr__(self):
         return str(self)
-
-
-def _horner(pairs: list[tuple[int, int | Fraction]], t: Fraction) -> Fraction:
-    """sum of c * t**e over (e, c) pairs with distinct e: acc = acc * t**gap + c
-    down the exponents in descending order."""
-    if not pairs:
-        return Fraction(0)
-    pairs.sort(key=itemgetter(0), reverse=True)
-    top = pairs[0][0]
-    acc = Fraction(0)
-    for e, c in pairs:
-        gap = top - e
-        acc = (acc * t if gap == 1 else acc * t**gap) + c
-        top = e
-    return acc * t**top if top else acc
 
 
 def over_common_denominator(values: Sequence, what: str) -> tuple[list[int], int]:

@@ -49,7 +49,37 @@ def _all_polynomial(rows: Sequence[dict]) -> bool:
     return all(type(e) is Polynomial for r in rows for e in r.values())
 
 
-class Matrix:
+class Record:
+    """Base of the immutable value types: each subclass lists its fields in
+    __slots__ and sets them once, through _set. Unless a subclass defines ==, a
+    record equals a same-type record with equal fields; hash and repr are its fields'."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Matrix(Record):
     """Immutable sparse matrix with exact entrywise arithmetic."""
 
     __slots__ = ("_rows", "zero", "nrows", "ncols")
@@ -63,23 +93,19 @@ class Matrix:
             raise ValueError("rows have unequal lengths")
         # the first zero given is the matrix zero; with none, 0 times an entry
         zero = next((e for r in rows for e in r if not e), 0 * rows[0][0])
-        self._set([dict(enumerate(r)) for r in rows], width, zero)
+        self._store([dict(enumerate(r)) for r in rows], width, zero)
 
     @classmethod
     def _of(cls, rows: list[dict], ncols: int, zero) -> Matrix:
         m = object.__new__(cls)
-        m._set(rows, ncols, zero)
+        m._store(rows, ncols, zero)
         return m
 
-    def _set(self, rows: list[dict], ncols: int, zero) -> None:
+    def _store(self, rows: list[dict], ncols: int, zero) -> None:
         """Store rows, dropping each zero of the same type as the matrix zero."""
         ty = type(zero)
         kept = tuple({j: e for j, e in r.items() if e or type(e) is not ty} for r in rows)
-        for name, value in (("_rows", kept), ("zero", zero), ("nrows", len(rows)), ("ncols", ncols)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        self._set(kept, zero, len(rows), ncols)
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -144,12 +170,6 @@ class Matrix:
                 row[j] = ra[j] + b if j in ra else lone(b)
             out.append(row)
         return Matrix._of(out, self.ncols, zero)
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        return self + (-other)
-
-    def __neg__(self) -> Matrix:
-        return self.map(lambda e: -e)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -275,36 +295,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})\n{self}"
-
-
-class Record:
-    """Base of the immutable value types: each subclass lists its fields in
-    __slots__ and sets them once, through _set. A record equals only a record
-    of its own type with equal fields; its hash and repr are its fields'."""
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({fields})"
 
 
 class KroneckerChain(Record):

@@ -134,7 +134,7 @@ def digital_binomial_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]:
     for d in digits:
         lhs = lhs * txy[d]
     px, py = _prefix_products(digits, tx, b), _prefix_products(digits, ty, b)
-    rhs = sum_of_products((px[m], py[n - m]) for m in dominated_set(n, b))
+    rhs = sum_of_products((p, py[n - m]) for m, p in px.items())
     return lhs, rhs
 
 

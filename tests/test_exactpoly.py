@@ -114,7 +114,7 @@ def test_rejects_negative_exponents():
         Polynomial({(-1, 0): 1})
 
 
-# --- sparse Horner eval against a per-term reference ---
+# --- integer-sum eval against a per-term reference ---
 
 sparse_polynomials = st.dictionaries(
     st.tuples(st.integers(0, 40), st.integers(0, 6)), rationals, max_size=8

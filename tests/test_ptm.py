@@ -531,7 +531,7 @@ def test_power_relations(b, depth):
 def test_power_relation_fails_on_a_wrong_seed(monkeypatch):
     u = ptm_mod._u_base
     # (-U_1)^3 == I, not -I: the chain's sign is wrong at odd depth only
-    monkeypatch.setattr(ptm_mod, "_u_base", lambda b: -u(b))
+    monkeypatch.setattr(ptm_mod, "_u_base", lambda b: u(b) * -1)
     assert [power_relation_check(2, depth) for depth in (1, 2, 3)] == [False, True, False]
     monkeypatch.setattr(ptm_mod, "_u_base", ptm_mod._s_int_base)
     for depth in (1, 2, 3):

@@ -298,13 +298,22 @@ def test_sides_match_per_term_route_sweep(b, depth):
     "n, b", [(1, 2), (7, 2), (13, 2), (5, 3), (17, 3), (26, 3), (39, 4), (0x3F, 16)]
 )
 def test_sides_sum_over_every_dominated_m(monkeypatch, n, b):
-    # the right sides run over sierpinski.dominated_set: drop one member and
-    # neither side may still balance
+    # the digit side sums over the keys of its x-parts, the multiplicity side
+    # over sierpinski.dominated_set: drop one m and neither side may still balance
+    prefix_products = sierpinski._prefix_products
+
+    def x_parts_but_one(digits, table, b):
+        parts = prefix_products(digits, table, b)
+        if table[1] == X:
+            del parts[list(parts)[len(parts) // 2]]
+        return parts
+
     def all_but_one(n, b):
         values = dominated_set(n, b)
         del values[len(values) // 2]
         return values
 
+    monkeypatch.setattr(sierpinski, "_prefix_products", x_parts_but_one)
     monkeypatch.setattr(sierpinski, "dominated_set", all_but_one)
     for sides in (digital_binomial_sides, multiplicity_identity_sides):
         lhs, rhs = sides(n, b)
