@@ -229,55 +229,75 @@ def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int,
     """Rows of the matrix product A B, for A and B held as rows of
     {col: Polynomial} nonzeros, row by row as Matrix.__mul__ runs it.
 
-    Each output cell sums its pairs (A[i][k], B[k][j]) on the integer
-    numerators: one dict per cell, into which every pair is convolved at
-    the running lcm of the pairs' denominators, and one reduction per cell.
-    No Polynomial is formed per pair or per partial sum. A cell whose
-    products cancel is the zero Polynomial.
+    One Gustavson pass gathers each output cell's factors [a1, e1, a2, e2,
+    ...], the pairs (A[i][k], B[k][j]) in row order. A cell's value depends
+    on nothing else, so it is summed once per distinct sequence of factor
+    objects (keyed by their ids; both operands hold them for the whole call,
+    so no id is reused), by _cell_sum, and every cell with that sequence
+    shares the one result, as Matrix.kron shares its products. Kronecker
+    powers repeat such sequences: S(x) S(y) at base 3, depth 4 has 1296
+    stored cells but sums 81. A product with no repeated cell pays the
+    gathering and the key of each cell on top of the sums.
     """
-    reduced = Polynomial._reduced
+    memo: dict[tuple, Polynomial] = {}
     out = []
     for row in arows:
-        cells: dict[int, list] = {}  # col -> [numerators, denominator]
+        cells: dict[int, list] = {}  # col -> [a1, e1, a2, e2, ...]
         for k, a in row.items():
-            aterms, aden = a._num.items(), a._den
             for j, e in brows[k].items():
-                d = aden * e._den
-                cell = cells.get(j)
-                if cell is None:
-                    num, scale = {}, 1
-                    cells[j] = [num, d]
+                factors = cells.get(j)
+                if factors is None:
+                    cells[j] = [a, e]
                 else:
-                    num, den = cell
-                    if den % d:
-                        # d does not divide the cell's denominator: rescale to their lcm
-                        new = lcm(den, d)
-                        f = new // den
-                        for key in num:
-                            num[key] *= f
-                        cell[1] = den = new
-                    scale = den // d
-                for (ax, ay), ac in aterms:
-                    ac *= scale
-                    for (bx, by), bc in e._num.items():
-                        key = (ax + bx, ay + by)
-                        num[key] = num.get(key, 0) + ac * bc
-        out.append(
-            {j: reduced({key: c for key, c in num.items() if c}, den) for j, (num, den) in cells.items()}
-        )
+                    factors.append(a)
+                    factors.append(e)
+        done = {}
+        for j, factors in cells.items():
+            key = tuple(map(id, factors))
+            p = memo.get(key)
+            if p is None:
+                p = memo[key] = _cell_sum(factors)
+            done[j] = p
+        out.append(done)
     return out
 
 
+def _cell_sum(factors: Sequence[Polynomial]) -> Polynomial:
+    """a1 e1 + a2 e2 + ... for factors [a1, e1, a2, e2, ...], on the integer
+    numerators: every pair is convolved into one dict at the running lcm of
+    the pairs' denominators, and the sum is reduced once. No Polynomial is
+    formed per pair or per partial sum; products that cancel leave the zero
+    Polynomial."""
+    num: dict[tuple[int, int], int] = {}
+    den = 1
+    pairs = iter(factors)
+    for a, e in zip(pairs, pairs):
+        d = a._den * e._den
+        if den % d:
+            # d does not divide the running denominator: rescale to their lcm
+            new = lcm(den, d)
+            f = new // den
+            for key in num:
+                num[key] *= f
+            den = new
+        scale = den // d
+        eterms = e._num.items()
+        for (ax, ay), ac in a._num.items():
+            ac *= scale
+            for (bx, by), bc in eterms:
+                key = (ax + bx, ay + by)
+                num[key] = num.get(key, 0) + ac * bc
+    return Polynomial._reduced({key: c for key, c in num.items() if c}, den)
+
+
 def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """sum of a * e over the (a, e) pairs, on the integer numerators: the one
-    cell of product_rows for the row {k: a_k} times the column [{0: e_k}].
+    """sum of a * e over the (a, e) pairs, on the integer numerators: the
+    cell sum of product_rows, with no memo.
 
     >>> str(sum_of_products([(X, Y), (X * Fraction(1, 2), X + 1), (Y, -X)]))
     '(1/2)*x^2 + (1/2)*x'
     """
-    pairs = list(pairs)
-    cells = product_rows([dict(enumerate(a for a, _ in pairs))], [{0: e} for _, e in pairs])
-    return cells[0].get(0, ZERO)
+    return _cell_sum([f for pair in pairs for f in pair])
 
 
 def _as_poly(value):

@@ -10,8 +10,9 @@ the digit-dominance pattern (S(x) at base 2 has 3^N nonzeros in 4^N cells),
 so every operation touches stored entries only: A * B runs row by row
 (Gustavson), over each pair (A[i][k], B[k][j]) of stored entries. When
 every stored entry of both factors is exactly a Polynomial, each output
-cell sums its pairs on integer numerators (exactpoly.product_rows) and
-forms one Polynomial; any other entries take the generic loop, one entry
+cell sums its pairs on integer numerators (exactpoly.product_rows), once
+per distinct sequence of factor objects, and cells with the same sequence
+share the result; any other entries take the generic loop, one entry
 product and one sum per pair. A.kron(B) forms one product per pair of
 stored objects, so the equal cells of a Kronecker power share a few objects,
 and A.map(fn) calls fn once per distinct entry (looked up by identity before
@@ -179,7 +180,7 @@ class Matrix(Record):
             # other) over the stored a = self[i][k]
             brows = other._rows
             if _all_polynomial(self._rows) and _all_polynomial(brows):
-                # each cell summed on integer numerators, one Polynomial per cell
+                # each distinct cell summed on integer numerators, one Polynomial per sum
                 out = product_rows(self._rows, brows)
             else:
                 out = []

@@ -227,14 +227,11 @@ def stirling_identity_check(l: int, n: int) -> bool:
 
 
 def x_base(b: int) -> Matrix:
-    """Strictly lower-triangular generator seed: entry (j,k) = x/(j-k)."""
+    """Strictly lower-triangular generator seed: entry (j,k) = x/(j-k), one
+    object per difference j - k, as s_base holds its table."""
     _check_base(b)
-    return Matrix(
-        [
-            [X * Fraction(1, j - k) if j > k else ZERO for k in range(b)]
-            for j in range(b)
-        ]
-    )
+    by_diff = [ZERO] + [X * Fraction(1, d) for d in range(1, b)]
+    return Matrix([[by_diff[j - k] if j > k else ZERO for k in range(b)] for j in range(b)])
 
 
 def x_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:

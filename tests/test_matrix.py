@@ -515,15 +515,16 @@ def _cell(kind, rng):
     return _bivariate(rng)
 
 
-def _cells(kind, nrows, ncols, rng):
+def _cells(kind, nrows, ncols, rng, pooled=False):
     """Rows of the given kind with a random share of zeros, all of one type
-    picked at random, so the matrix zero need not match the entries."""
+    picked at random, so the matrix zero need not match the entries. Pooled
+    cells are drawn from three shared objects, so cells of the product repeat
+    their sequences of factor objects."""
     zero = rng.choice([0, Fraction(0), ZERO, UniPoly([])])
     share = rng.randint(0, 8) / 10
-    return [
-        [zero if rng.random() < share else _cell(kind, rng) for _ in range(ncols)]
-        for _ in range(nrows)
-    ]
+    pool = [_cell(kind, rng) for _ in range(3)] if pooled else None
+    draw = (lambda: rng.choice(pool)) if pooled else (lambda: _cell(kind, rng))
+    return [[zero if rng.random() < share else draw() for _ in range(ncols)] for _ in range(nrows)]
 
 
 def _same_cells(got, want):
@@ -538,11 +539,12 @@ def _same_cells(got, want):
     kinds=st.tuples(*[st.sampled_from(("bivariate", "mixed", "unipoly"))] * 2),
     shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
     seed=st.integers(0, 10**6),
+    pooled=st.booleans(),
 )
-def test_product_matches_pairwise_loop(kinds, shape, seed):
+def test_product_matches_pairwise_loop(kinds, shape, seed, pooled):
     rng = Random(seed)
     (ka, kc), (n, m, k) = kinds, shape
-    a, c = Matrix(_cells(ka, n, m, rng)), Matrix(_cells(kc, m, k, rng))
+    a, c = Matrix(_cells(ka, n, m, rng, pooled)), Matrix(_cells(kc, m, k, rng, pooled))
     _same_cells(a * c, _pairwise_product(a, c))
     # [A | A] times [C ; -C]: every cell's products cancel in the sum
     cancel = Matrix([list(r) + list(r) for r in a.rows])
@@ -560,6 +562,27 @@ def test_product_rescales_cells_to_the_lcm_of_denominators():
     # products that cancel leave the zero Polynomial, dropped under a Polynomial zero
     half = Matrix([[X * Fraction(1, 2), X * Fraction(1, 2)]])
     assert (half * Matrix([[ONE], [-ONE]])).nnz == 0
-    # and stored under an int zero, as the pairwise sum leaves it
-    kept = Matrix([[X, X, 0]]) * Matrix([[Y], [-Y], [0]])
-    assert type(kept.zero) is int and kept.nnz == 1 and type(kept[0, 0]) is Polynomial
+    # and stored under an int zero, as the pairwise sum leaves it; both rows share the one sum
+    kept = Matrix([[X, X, 0], [X, X, 0]]) * Matrix([[Y], [-Y], [0]])
+    assert type(kept.zero) is int and kept.nnz == 2 and type(kept[0, 0]) is Polynomial
+    assert kept[1, 0] is kept[0, 0]
+
+
+def test_product_shares_each_repeated_cell():
+    # both rows multiply the same objects in the same order: one sum, one shared result
+    half = Y * Fraction(1, 2)
+    a = Matrix([[X, half], [X, half]])
+    got = a * Matrix([[Y + 1], [X * Fraction(1, 3)]])
+    assert got[0, 0] is got[1, 0]
+    assert got[0, 0].terms == {(1, 1): Fraction(7, 6), (1, 0): Fraction(1)}
+
+
+def test_product_sums_equal_values_in_distinct_objects_apart():
+    # the cells are keyed by object, not by value: equal factors held apart are
+    # summed apart, and both sums are right
+    twin = Polynomial({(1, 0): Fraction(1, 2)})
+    a = Matrix([[X * Fraction(1, 2), Y], [twin, Y]])
+    c = Matrix([[Y * Fraction(1, 3)], [X + 2]])
+    got = a * c
+    assert got[0, 0] == got[1, 0] and got[0, 0] is not got[1, 0]
+    _same_cells(got, _pairwise_product(a, c))

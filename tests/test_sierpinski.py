@@ -582,6 +582,28 @@ def test_s_matrix_shares_its_kronecker_entries():
     assert all(m[j, k] == s_entry(2, 6, j, k) for j in range(64) for k in range(64))
 
 
+@pytest.mark.parametrize("b, depth", [(2, 5), (3, 3)])
+def test_one_parameter_product_sums_each_distinct_cell_once(b, depth):
+    # a cell of S(x) S(y) depends on the digits of j - k alone: b^N distinct objects
+    s_x = s_matrix(b, depth)
+    product = s_x * s_x.map(lambda p: p.compose(px=Y))
+    dim = b**depth
+    stored = [e for row in product.rows for e in row if e]
+    assert len(stored) == (b * (b + 1) // 2) ** depth
+    assert len({id(e) for e in stored}) <= dim
+    assert all(
+        product[j, k] == s_entry(b, depth, j, k).compose(px=X + Y)
+        for j in range(dim)
+        for k in range(dim)
+    )
+
+
+def test_x_base_holds_one_object_per_difference():
+    m = x_base(6)
+    assert all(m[j, k] is m[j - k, 0] for j in range(6) for k in range(j))
+    assert len({id(e) for row in m.rows for e in row if e}) == 5
+
+
 def _signed_seed(b):
     # 0, 1 and -1 entries on and below the diagonal, with an all-zero middle row
     return Matrix(
