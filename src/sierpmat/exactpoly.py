@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Rational = Fraction
 
@@ -225,7 +225,9 @@ def over_common_denominator(values: Sequence, what: str) -> tuple[list[int], int
     return [v.numerator * scale[v.denominator] for v in values], d
 
 
-def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int, Polynomial]]:
+def product_rows(
+    arows: Sequence[dict], brows: Sequence[dict], store: Callable[[Polynomial], object]
+) -> list[dict]:
     """Rows of the matrix product A B, for A and B held as rows of
     {col: Polynomial} nonzeros, row by row as Matrix.__mul__ runs it.
 
@@ -236,8 +238,11 @@ def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int,
     so no id is reused), by _cell_sum, and every cell with that sequence
     shares the one result, as Matrix.kron shares its products. Kronecker
     powers repeat such sequences: S(x) S(y) at base 3, depth 4 has 1296
-    stored cells but sums 81. A product with no repeated cell pays the
-    gathering and the key of each cell on top of the sums.
+    stored cells but sums 31 when equal entries of S share one object, as
+    Matrix.kron leaves them. A product with no repeated cell pays the
+    gathering and the key of each cell on top of the sums. Each distinct sum
+    is passed once through store, and its cells hold what store returns
+    (Matrix.__mul__ returns the sum, or None for a zero it does not store).
     """
     memo: dict[tuple, Polynomial] = {}
     out = []
@@ -254,10 +259,10 @@ def product_rows(arows: Sequence[dict], brows: Sequence[dict]) -> list[dict[int,
         done = {}
         for j, factors in cells.items():
             key = tuple(map(id, factors))
-            p = memo.get(key)
-            if p is None:
-                p = memo[key] = _cell_sum(factors)
-            done[j] = p
+            try:
+                done[j] = memo[key]
+            except KeyError:
+                done[j] = memo[key] = store(_cell_sum(factors))
         out.append(done)
     return out
 

@@ -14,10 +14,14 @@ cell sums its pairs on integer numerators (exactpoly.product_rows), once
 per distinct sequence of factor objects, and cells with the same sequence
 share the result; any other entries take the generic loop, one entry
 product and one sum per pair. A.kron(B) forms one product per pair of
-stored objects, so the equal cells of a Kronecker power share a few objects,
-and A.map(fn) calls fn once per distinct entry (looked up by identity before
-it is hashed), which is why entries must be hashable. `rows` is a dense
-view, built on each access.
+stored objects and keeps one object per distinct value, so a Kronecker
+power holds one object per value (S(x) at base 2, depth 6: 729 cells, 7
+objects); A + B forms one sum per distinct pair of objects, and A.map(fn)
+calls fn once per distinct entry (looked up by identity before it is
+hashed), which is why entries must be hashable. No stored cell is a zero of
+the matrix zero's type: rows from outside are tested cell by cell, and each
+operation tests each distinct result once. `rows` is a dense view, built on
+each access.
 """
 
 from __future__ import annotations
@@ -48,6 +52,34 @@ def checked_dim(b: int, depth: int, cap: int = DEFAULT_CAP) -> int:
 def _all_polynomial(rows: Sequence[dict]) -> bool:
     # exactly Polynomial: a subclass such as ptm.UniPoly keeps its own class
     return all(type(e) is Polynomial for r in rows for e in r.values())
+
+
+class _Results:
+    """The distinct results of one operation under the matrix zero `zero`,
+    each passed in once. A zero of zero's type comes back as None, for a
+    cell that is not stored; through intern, equal results (same type and
+    value) come back as one object, which lives as long as this one."""
+
+    __slots__ = ("ty", "values", "dropped")
+
+    def __init__(self, zero):
+        self.ty, self.values, self.dropped = type(zero), {}, False
+
+    def keep(self, p):
+        if not p and type(p) is self.ty:
+            self.dropped = True
+            return None
+        return p
+
+    def intern(self, p):
+        p = self.keep(p)
+        return None if p is None else self.values.setdefault((type(p), p), p)
+
+    def rows(self, rows: list[dict]) -> list[dict]:
+        """rows without their None cells; as they are when none was dropped."""
+        if not self.dropped:
+            return rows
+        return [{j: p for j, p in r.items() if p is not None} for r in rows]
 
 
 class Record:
@@ -94,19 +126,18 @@ class Matrix(Record):
             raise ValueError("rows have unequal lengths")
         # the first zero given is the matrix zero; with none, 0 times an entry
         zero = next((e for r in rows for e in r if not e), 0 * rows[0][0])
-        self._store([dict(enumerate(r)) for r in rows], width, zero)
+        # rows from outside are the one place each cell is tested for a zero
+        ty = type(zero)
+        kept = tuple({j: e for j, e in enumerate(r) if e or type(e) is not ty} for r in rows)
+        self._set(kept, zero, len(rows), width)
 
     @classmethod
     def _of(cls, rows: list[dict], ncols: int, zero) -> Matrix:
+        """A matrix on rows that already hold no zero of zero's type: each
+        operation drops those itself, once per distinct result."""
         m = object.__new__(cls)
-        m._store(rows, ncols, zero)
+        m._set(tuple(rows), zero, len(rows), ncols)
         return m
-
-    def _store(self, rows: list[dict], ncols: int, zero) -> None:
-        """Store rows, dropping each zero of the same type as the matrix zero."""
-        ty = type(zero)
-        kept = tuple({j: e for j, e in r.items() if e or type(e) is not ty} for r in rows)
-        self._set(kept, zero, len(rows), ncols)
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -121,7 +152,9 @@ class Matrix(Record):
 
     @classmethod
     def identity(cls, n: int, one=1, zero=0) -> Matrix:
-        return cls._of([{i: one} for i in range(n)], n, zero)
+        # a zero of zero's type on the diagonal leaves nothing stored
+        stored = bool(one) or type(one) is not type(zero)
+        return cls._of([{i: one} if stored else {} for i in range(n)], n, zero)
 
     def __getitem__(self, key):
         i, j = key
@@ -159,18 +192,33 @@ class Matrix(Record):
             raise ValueError("shape mismatch in matrix addition")
         zero = self.zero + other.zero
         ty = type(zero)
+        results = _Results(zero)
+        # one result per distinct lone object, keyed by its id, and per distinct
+        # overlapping pair, keyed by both ids; both operands hold them all call
+        sums = {}
 
         def lone(e):
             # a cell stored on one side only: e, or e + zero where that changes its type
-            return e if type(e) is ty else e + zero
+            try:
+                return sums[id(e)]
+            except KeyError:
+                s = sums[id(e)] = results.intern(e if type(e) is ty else e + zero)
+                return s
 
         out = []
         for ra, rb in zip(self._rows, other._rows):
             row = {j: lone(a) for j, a in ra.items()}
             for j, b in rb.items():
-                row[j] = ra[j] + b if j in ra else lone(b)
+                if j in ra:
+                    key = (id(ra[j]), id(b))
+                    try:
+                        row[j] = sums[key]
+                    except KeyError:
+                        row[j] = sums[key] = results.intern(ra[j] + b)
+                else:
+                    row[j] = lone(b)
             out.append(row)
-        return Matrix._of(out, self.ncols, zero)
+        return Matrix._of(results.rows(out), self.ncols, zero)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -179,10 +227,13 @@ class Matrix(Record):
             # row by row (Gustavson): row i of the product sums a * (row k of
             # other) over the stored a = self[i][k]
             brows = other._rows
+            zero = self.zero * other.zero
             if _all_polynomial(self._rows) and _all_polynomial(brows):
                 # each distinct cell summed on integer numerators, one Polynomial per sum
-                out = product_rows(self._rows, brows)
+                results = _Results(zero)
+                out = results.rows(product_rows(self._rows, brows, results.keep))
             else:
+                ty = type(zero)
                 out = []
                 for row in self._rows:
                     acc = {}
@@ -190,8 +241,9 @@ class Matrix(Record):
                         for j, e in brows[k].items():
                             p = a * e
                             acc[j] = acc[j] + p if j in acc else p
-                    out.append(acc)
-            return Matrix._of(out, other.ncols, self.zero * other.zero)
+                    # every cell is its own sum here: test each for a zero
+                    out.append({j: s for j, s in acc.items() if s or type(s) is not ty})
+            return Matrix._of(out, other.ncols, zero)
         return self.map(lambda e: e * other)
 
     def __rmul__(self, other):
@@ -214,11 +266,14 @@ class Matrix(Record):
         """Kronecker product; the left factor indexes the blocks.
 
         Each product a * b is formed once per pair of stored objects (a, b),
-        and every cell it fills shares that one result. Both factors hold
+        and tested for a zero once; equal products share one object, so
+        every cell of one value holds the same result. Both factors hold
         their entries for the whole call, so the ids of the memo stay unique.
         """
         w = other.ncols
-        memo = {}  # id(a) -> {id(b): a * b}
+        zero = self.zero * other.zero
+        results = _Results(zero)
+        memo = {}  # id(a) -> {id(b): a * b, or None for a zero of zero's type}
         rows = []
         for ra in self._rows:
             for rb in other._rows:
@@ -227,12 +282,13 @@ class Matrix(Record):
                     by_b = memo.setdefault(id(a), {})
                     base = ja * w
                     for jb, b in rb.items():
-                        p = by_b.get(id(b))
-                        if p is None:
-                            p = by_b[id(b)] = a * b
+                        try:
+                            p = by_b[id(b)]
+                        except KeyError:
+                            p = by_b[id(b)] = results.intern(a * b)
                         row[base + jb] = p
                 rows.append(row)
-        return Matrix._of(rows, self.ncols * w, self.zero * other.zero)
+        return Matrix._of(results.rows(rows), self.ncols * w, zero)
 
     def transpose(self) -> Matrix:
         cols = [{} for _ in range(self.ncols)]
@@ -275,6 +331,11 @@ class Matrix(Record):
         zero = None if full else fn(self.zero)  # fn never sees an unread zero
         if full or zero:
             return Matrix([[row.get(j, zero) for j in range(self.ncols)] for row in out])
+        # each distinct result is tested for a zero of zero's type once
+        ty = type(zero)
+        dropped = {id(r) for r in memo.values() if not r and type(r) is ty}
+        if dropped:
+            out = [{j: r for j, r in row.items() if id(r) not in dropped} for row in out]
         return Matrix._of(out, self.ncols, zero)
 
     def matvec(self, vec: Sequence) -> list:

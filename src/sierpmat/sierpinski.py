@@ -103,16 +103,24 @@ def _prefix_products(
 
     Built a digit position at a time, as dominated_set builds its list: each
     product of the first i + 1 positions is one product of the first i, times
-    one table entry, and c = 0 keeps it (table[0] is 1).
+    one table entry, and c = 0 keeps it (table[0] is 1). A part depends only
+    on which digits k takes, not where, so each product part * table[c] is
+    formed once per (part object, c) and equal parts share one object.
     """
     parts = {0: ONE}
+    memo: dict[tuple[int, int], Polynomial] = {}  # (id(part), c) -> part * table[c]
+    values: dict[Polynomial, Polynomial] = {}  # holds every part, so no id is reused
     weight = 1
     for d in digits:
         level = dict(parts)
         for c in range(1, d + 1):
             factor, shift = table[c], c * weight
             for k, p in parts.items():
-                level[k + shift] = p * factor
+                try:
+                    level[k + shift] = memo[id(p), c]
+                except KeyError:
+                    q = p * factor
+                    level[k + shift] = memo[id(p), c] = values.setdefault(q, q)
         parts = level
         weight *= b
     return parts

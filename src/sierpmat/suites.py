@@ -96,6 +96,8 @@ def factorization(b: int, depth: int, cap: int, seed: int) -> list[Check]:
     vectors = [ptm.random_zero_sum(b, rng) for _ in range(20)]
     # (F, c, P * prod(1 - x^(b^m))) per vector; witnesses run vector first, then n
     results = [ptm.factorization(b, depth, a, cap) for a in vectors]
+    # whether each n has the top digit b - 1, read once for every vector's sweep
+    has_top = [(b - 1) in digits.to_digits(n, b) for n in range(len(results[0][1]))]
 
     routes = (
         {"vector_index": i}
@@ -106,7 +108,7 @@ def factorization(b: int, depth: int, cap: int, seed: int) -> list[Check]:
         {"vector_index": i, "n": n, "c": str(cn)}
         for i, (_, c, _) in enumerate(results)
         for n, cn in enumerate(c)
-        if (b - 1) in digits.to_digits(n, b) and cn != 0
+        if has_top[n] and cn != 0
     )
     factor = ({"vector_index": i} for i, (f, _, product) in enumerate(results) if f != product)
 
@@ -131,7 +133,8 @@ def factorization(b: int, depth: int, cap: int, seed: int) -> list[Check]:
             {"vector_index": i, "n": n}
             for i, (a, (_, c, _)) in enumerate(zip(vectors, results))
             for n, cn in enumerate(c)
-            if 2 not in digits.to_digits(n, 3) and not ptm.base3_corollary_check(n, a, cn)
+            # at base 3 the top digit is 2: has_top[n] is false exactly when n has no 2
+            if not has_top[n] and not ptm.base3_corollary_check(n, a, cn)
         )
         rows.append(_first("base3-corollary", corollary))
     return rows

@@ -341,6 +341,50 @@ def test_kron_shares_one_product_per_pair_of_objects():
     assert len({id(e) for e in stored}) == 1
 
 
+# --- storage: no stored cell is a zero of the matrix zero's type ---
+# zeros of all four types, and nonzeros whose sums and products cancel
+_STORE_POOL = (
+    0, Fraction(0), ZERO, UniPoly([]),
+    1, -1, Fraction(1, 2), Fraction(-1, 2), X, -X, UniPoly([1]), UniPoly([-1]),
+)
+
+
+def _no_stored_zero(m):
+    ty = type(m.zero)
+    assert not [e for row in m._rows for e in row.values() if not e and type(e) is ty]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(_STORE_POOL) - 1), min_size=27, max_size=27),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+)
+def test_operations_store_no_zero_of_the_zero_type(picks, shape):
+    n, m, k = shape
+    cells = iter(_STORE_POOL[i] for i in picks)
+    a, b = ([[next(cells) for _ in range(m)] for _ in range(n)] for _ in range(2))
+    c = [[next(cells) for _ in range(k)] for _ in range(m)]
+    ma, mb, mc = Matrix(a), Matrix(b), Matrix(c)
+    for got in (
+        ma + mb,
+        ma + ma.map(lambda e: -e),  # every stored cell cancels
+        ma * mc,
+        # all-Polynomial factors: the per-cell numerator sums
+        ma.map(lambda e: X * e) * mc.map(lambda e: Y * e),
+        ma.kron(mc),
+        mc.kron(ma),
+        ma.map(lambda e: e * 0),
+        ma.map(lambda e: -e),
+        ma * Fraction(0),
+    ):
+        _no_stored_zero(got)
+    # an int zero and a stored Fraction(0), under a Polynomial zero: no cell stored
+    assert (Matrix([[0, Fraction(0)]]) + Matrix([[ZERO, ZERO]])).nnz == 0
+    # a stored int 0 under a Fraction zero, times a Fraction: a Fraction zero
+    assert Matrix([[Fraction(0), 0]]).kron(Matrix([[Fraction(1, 2)]])).nnz == 0
+    assert Matrix.identity(3, one=ZERO, zero=ZERO).nnz == 0
+
+
 def test_map_keeps_zero_types_apart():
     m = Matrix([[0, Fraction(0)], [ZERO, UniPoly([])]])
     assert [[type(e) for e in r] for r in m.map(lambda e: e).rows] == [
@@ -482,15 +526,17 @@ def test_sparse_storage_matches_dense_reference(kinds, shape, seed):
 
 def _pairwise_product(a, b):
     """The generic Matrix.__mul__ loop: one product and one sum per pair of
-    stored entries."""
+    stored entries, then every cell tested for a zero of the product zero's
+    type (Matrix._of stores its rows as they are)."""
+    zero = a.zero * b.zero
     out = []
     for row in a._rows:
         acc = {}
         for k, x in row.items():
             for j, e in b._rows[k].items():
                 acc[j] = acc[j] + x * e if j in acc else x * e
-        out.append(acc)
-    return Matrix._of(out, b.ncols, a.zero * b.zero)
+        out.append({j: s for j, s in acc.items() if s or type(s) is not type(zero)})
+    return Matrix._of(out, b.ncols, zero)
 
 
 def _bivariate(rng):

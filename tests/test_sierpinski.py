@@ -574,12 +574,27 @@ def test_chain_validation():
 
 
 def test_s_matrix_shares_its_kronecker_entries():
-    # 729 stored entries hold 7 distinct values; the 2^6 pairs of seed objects bound the objects
-    m = s_matrix(2, 6)
-    stored = [e for row in m.rows for e in row if e]
-    assert len(stored) == 729
-    assert len({id(e) for e in stored}) <= 64
-    assert all(m[j, k] == s_entry(2, 6, j, k) for j in range(64) for k in range(64))
+    # an entry depends on the digits of j - k alone: one object per distinct value
+    for b, depth, nnz, values in [(2, 6, 729, 7), (3, 4, 1296, 15)]:
+        m = s_matrix(b, depth)
+        stored = [e for row in m.rows for e in row if e]
+        assert len(stored) == nnz
+        assert len(set(stored)) == len({id(e) for e in stored}) == values
+        dim = b**depth
+        assert all(m[j, k] == s_entry(b, depth, j, k) for j in range(dim) for k in range(dim))
+
+
+def test_prefix_products_share_one_object_per_value():
+    # 401 = (2,1,2,2,1,1) in base 3: 216 dominated k, whose parts take 22 values
+    table = rising_table(2, X)
+    parts = sierpinski._prefix_products(to_digits(401, 3), table, 3)
+    assert sorted(parts) == dominated_set(401, 3)
+    for k, p in parts.items():
+        want = ONE
+        for c in to_digits(k, 3):
+            want = want * table[c]
+        assert p == want
+    assert len(set(parts.values())) == len({id(p) for p in parts.values()}) == 22
 
 
 @pytest.mark.parametrize("b, depth", [(2, 5), (3, 3)])
