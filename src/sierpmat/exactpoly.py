@@ -5,14 +5,16 @@ denominator, so products and sums multiply and add Python ints and form no
 ``fractions.Fraction``. The form is canonical: no zero numerator, and the
 denominator is coprime to the numerators (1 for the zero polynomial), so
 structural equality is semantic equality. Coefficients are read back as
-``Fraction`` values, exported here as ``Rational``.
+``Fraction`` values, exported here as ``Rational``. ``sum_of_products`` is
+the one kernel that sums many products on the numerators: the cells of a
+Polynomial matrix product, the digital-binomial sides and the Gould checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -225,58 +227,18 @@ def over_common_denominator(values: Sequence, what: str) -> tuple[list[int], int
     return [v.numerator * scale[v.denominator] for v in values], d
 
 
-def product_rows(
-    arows: Sequence[dict], brows: Sequence[dict], store: Callable[[Polynomial], object]
-) -> list[dict]:
-    """Rows of the matrix product A B, for A and B held as rows of
-    {col: Polynomial} nonzeros, row by row as Matrix.__mul__ runs it.
+def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """sum of a * e over the (a, e) pairs, on the integer numerators: every
+    pair is convolved into one dict at the running lcm of the pairs'
+    denominators, and the sum is reduced once. No Polynomial is formed per
+    pair or per partial sum; products that cancel leave the zero Polynomial.
 
-    One Gustavson pass gathers each output cell's factors [a1, e1, a2, e2,
-    ...], the pairs (A[i][k], B[k][j]) in row order. A cell's value depends
-    on nothing else, so it is summed once per distinct sequence of factor
-    objects (keyed by their ids; both operands hold them for the whole call,
-    so no id is reused), by _cell_sum, and every cell with that sequence
-    shares the one result, as Matrix.kron shares its products. Kronecker
-    powers repeat such sequences: S(x) S(y) at base 3, depth 4 has 1296
-    stored cells but sums 31 when equal entries of S share one object, as
-    Matrix.kron leaves them. A product with no repeated cell pays the
-    gathering and the key of each cell on top of the sums. Each distinct sum
-    is passed once through store, and its cells hold what store returns
-    (Matrix.__mul__ returns the sum, or None for a zero it does not store).
+    >>> str(sum_of_products([(X, Y), (X * Fraction(1, 2), X + 1), (Y, -X)]))
+    '(1/2)*x^2 + (1/2)*x'
     """
-    memo: dict[tuple, Polynomial] = {}
-    out = []
-    for row in arows:
-        cells: dict[int, list] = {}  # col -> [a1, e1, a2, e2, ...]
-        for k, a in row.items():
-            for j, e in brows[k].items():
-                factors = cells.get(j)
-                if factors is None:
-                    cells[j] = [a, e]
-                else:
-                    factors.append(a)
-                    factors.append(e)
-        done = {}
-        for j, factors in cells.items():
-            key = tuple(map(id, factors))
-            try:
-                done[j] = memo[key]
-            except KeyError:
-                done[j] = memo[key] = store(_cell_sum(factors))
-        out.append(done)
-    return out
-
-
-def _cell_sum(factors: Sequence[Polynomial]) -> Polynomial:
-    """a1 e1 + a2 e2 + ... for factors [a1, e1, a2, e2, ...], on the integer
-    numerators: every pair is convolved into one dict at the running lcm of
-    the pairs' denominators, and the sum is reduced once. No Polynomial is
-    formed per pair or per partial sum; products that cancel leave the zero
-    Polynomial."""
     num: dict[tuple[int, int], int] = {}
     den = 1
-    pairs = iter(factors)
-    for a, e in zip(pairs, pairs):
+    for a, e in pairs:
         d = a._den * e._den
         if den % d:
             # d does not divide the running denominator: rescale to their lcm
@@ -293,16 +255,6 @@ def _cell_sum(factors: Sequence[Polynomial]) -> Polynomial:
                 key = (ax + bx, ay + by)
                 num[key] = num.get(key, 0) + ac * bc
     return Polynomial._reduced({key: c for key, c in num.items() if c}, den)
-
-
-def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """sum of a * e over the (a, e) pairs, on the integer numerators: the
-    cell sum of product_rows, with no memo.
-
-    >>> str(sum_of_products([(X, Y), (X * Fraction(1, 2), X + 1), (Y, -X)]))
-    '(1/2)*x^2 + (1/2)*x'
-    """
-    return _cell_sum([f for pair in pairs for f in pair])
 
 
 def _as_poly(value):

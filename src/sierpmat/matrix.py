@@ -10,18 +10,18 @@ the digit-dominance pattern (S(x) at base 2 has 3^N nonzeros in 4^N cells),
 so every operation touches stored entries only: A * B runs row by row
 (Gustavson), over each pair (A[i][k], B[k][j]) of stored entries. When
 every stored entry of both factors is exactly a Polynomial, each output
-cell sums its pairs on integer numerators (exactpoly.product_rows), once
-per distinct sequence of factor objects, and cells with the same sequence
-share the result; any other entries take the generic loop, one entry
-product and one sum per pair. A.kron(B) forms one product per pair of
-stored objects and keeps one object per distinct value, so a Kronecker
-power holds one object per value (S(x) at base 2, depth 6: 729 cells, 7
-objects); A + B forms one sum per distinct pair of objects, and A.map(fn)
-calls fn once per distinct entry (looked up by identity before it is
-hashed), which is why entries must be hashable. No stored cell is a zero of
-the matrix zero's type: rows from outside are tested cell by cell, and each
-operation tests each distinct result once. `rows` is a dense view, built on
-each access.
+cell gathers its factor objects and is summed on integer numerators
+(exactpoly.sum_of_products) once per distinct sequence of them; cells with
+the same sequence share the result, and equal results are kept as one
+object. Any other entries take the generic loop, one entry product and one
+sum per pair. A.kron(B) forms one product per pair of stored objects and
+keeps one object per distinct value, so a Kronecker power holds one object
+per value (S(x) at base 2, depth 6: 729 cells, 7 objects); A + B forms one
+sum per distinct pair of objects, and A.map(fn) calls fn once per distinct
+entry (looked up by identity before it is hashed), which is why entries must
+be hashable. No stored cell is a zero of the matrix zero's type: rows from
+outside are tested cell by cell, and each operation tests each distinct
+result once. `rows` is a dense view, built on each access.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .digits import _check_base, _check_depth
-from .exactpoly import Polynomial, product_rows
+from .exactpoly import Polynomial, sum_of_products
 
 DEFAULT_CAP = 4096
 
@@ -56,8 +56,8 @@ def _all_polynomial(rows: Sequence[dict]) -> bool:
 
 class _Results:
     """The distinct results of one operation under the matrix zero `zero`,
-    each passed in once. A zero of zero's type comes back as None, for a
-    cell that is not stored; through intern, equal results (same type and
+    each passed in once through intern: a zero of zero's type comes back as
+    None, for a cell that is not stored, and equal results (same type and
     value) come back as one object, which lives as long as this one."""
 
     __slots__ = ("ty", "values", "dropped")
@@ -65,15 +65,11 @@ class _Results:
     def __init__(self, zero):
         self.ty, self.values, self.dropped = type(zero), {}, False
 
-    def keep(self, p):
+    def intern(self, p):
         if not p and type(p) is self.ty:
             self.dropped = True
             return None
-        return p
-
-    def intern(self, p):
-        p = self.keep(p)
-        return None if p is None else self.values.setdefault((type(p), p), p)
+        return self.values.setdefault((type(p), p), p)
 
     def rows(self, rows: list[dict]) -> list[dict]:
         """rows without their None cells; as they are when none was dropped."""
@@ -229,9 +225,31 @@ class Matrix(Record):
             brows = other._rows
             zero = self.zero * other.zero
             if _all_polynomial(self._rows) and _all_polynomial(brows):
-                # each distinct cell summed on integer numerators, one Polynomial per sum
-                results = _Results(zero)
-                out = results.rows(product_rows(self._rows, brows, results.keep))
+                # gather each cell's factors [a1, e1, a2, e2, ...]; a cell depends
+                # on nothing else, so it is summed once per distinct sequence of
+                # factor objects (both operands hold them all call, so no id is
+                # reused), on integer numerators, and kept one object per value
+                results, sums, out = _Results(zero), {}, []
+                for row in self._rows:
+                    cells = {}
+                    for k, a in row.items():
+                        for j, e in brows[k].items():
+                            factors = cells.get(j)
+                            if factors is None:
+                                cells[j] = [a, e]
+                            else:
+                                factors.append(a)
+                                factors.append(e)
+                    done = {}
+                    for j, factors in cells.items():
+                        key = tuple(map(id, factors))
+                        try:
+                            done[j] = sums[key]
+                        except KeyError:
+                            pairs = zip(factors[::2], factors[1::2])
+                            done[j] = sums[key] = results.intern(sum_of_products(pairs))
+                    out.append(done)
+                out = results.rows(out)
             else:
                 ty = type(zero)
                 out = []

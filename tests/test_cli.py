@@ -604,6 +604,22 @@ def test_module_entry_has_clean_stderr():
     assert json.loads(proc.stdout)["dim"] == 2
 
 
+def test_closed_output_pipe_is_one_line_usage_error():
+    # about 185 kB of JSON, more than a pipe holds: the reader takes one byte and closes
+    src = str(Path(sierpmat.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sierpmat.cli", "matrix", "S", "--depth", "7"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert os.read(proc.stdout.fileno(), 1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == "error: output closed before it was all written\n"  # no traceback
+
+
 @pytest.mark.parametrize(
     "argv",
     [

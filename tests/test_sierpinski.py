@@ -584,6 +584,15 @@ def test_s_matrix_shares_its_kronecker_entries():
         assert all(m[j, k] == s_entry(b, depth, j, k) for j in range(dim) for k in range(dim))
 
 
+def test_one_parameter_product_keeps_one_object_per_value():
+    # S(x) S(y) at base 3, depth 4: 1296 stored cells, one object per distinct value
+    s_x = s_matrix(3, 4)
+    got = s_x * s_x.map(lambda p: p.compose(px=Y))
+    stored = [e for row in got._rows for e in row.values()]
+    assert len(stored) == 1296
+    assert len(set(stored)) == len({id(e) for e in stored}) == 15
+
+
 def test_prefix_products_share_one_object_per_value():
     # 401 = (2,1,2,2,1,1) in base 3: 216 dominated k, whose parts take 22 values
     table = rising_table(2, X)
