@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ptm, sierpinski, suites
-from .matrix import DEFAULT_CAP, Matrix
+from .matrix import DEFAULT_CAP, Matrix, kron_chain
 
 
 def _rational(text: str) -> Fraction:
@@ -85,18 +85,19 @@ def cmd_matrix(args) -> int:
     # refuse before building: a symbolic matrix near the cap takes seconds
     if symbolic and args.format == "csv":
         raise ValueError("csv format requires numeric entries; pass --eval to evaluate")
-    if kind == "S" and x0 is not None:
-        mat = sierpinski.s_chain(b, depth, x0, cap).dense()
+    if kind == "X":
+        mat = sierpinski.x_matrix(b, depth, cap)  # a Kronecker sum, not a power: no seed
     else:
-        # built per call, so a builder patched on its module is the one used
-        builders = {
-            "S": sierpinski.s_matrix, "X": sierpinski.x_matrix, "M": ptm.m_matrix,
-            "T": ptm.t_matrix, "U": ptm.u_matrix, "V": ptm.v_matrix,
+        # built per call, so a seed patched on its module is the one read
+        seeds = {
+            "S": sierpinski.s_base, "M": ptm.m_base, "T": ptm.t_base,
+            "U": ptm.u_base, "V": ptm.v_base,
         }
-        mat = builders[kind](b, depth, cap)
-        if kind == "X" and x0 is not None:
-            mat = mat.map(lambda p: p.eval(x0))
-    print(_emit_matrix(kind, args, x0, mat, symbolic))
+        mat = kron_chain(seeds[kind], b, depth, cap)
+    if x0 is not None:
+        # a chain evaluates its b x b seed alone, as eval is a ring homomorphism
+        mat = mat.map(lambda p: p.eval(x0))
+    print(_emit_matrix(kind, args, x0, mat if kind == "X" else mat.dense(), symbolic))
     return 0
 
 

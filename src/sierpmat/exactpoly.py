@@ -7,7 +7,7 @@ denominator is coprime to the numerators (1 for the zero polynomial), so
 structural equality is semantic equality. Coefficients are read back as
 ``Fraction`` values, exported here as ``Rational``. ``sum_of_products`` is
 the one kernel that sums many products on the numerators: the cells of a
-Polynomial matrix product, the digital-binomial sides and the Gould checks.
+Polynomial matrix product and the digital-binomial sides.
 """
 
 from __future__ import annotations

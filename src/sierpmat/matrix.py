@@ -26,12 +26,14 @@ result once. `rows` is a dense view, built on each access.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .digits import _check_base, _check_depth
-from .exactpoly import Polynomial, sum_of_products
+from .exactpoly import Polynomial, over_common_denominator, sum_of_products
 
 DEFAULT_CAP = 4096
 
@@ -405,6 +407,52 @@ class KroneckerChain(Record):
         """The k-th power, which is the chain of the seed's k-th power
         (mixed-product property); only b x b products are formed."""
         return KroneckerChain(self.base_factor.power(k), self.depth)
+
+    def map(self, fn: Callable) -> KroneckerChain:
+        """The chain of seed.map(fn). It expands to dense().map(fn) only where
+        fn is a ring homomorphism, as evaluating a Polynomial at a point is."""
+        return KroneckerChain(self.base_factor.map(fn), self.depth)
+
+    def apply(self, vec: Sequence) -> list:
+        """Multiply the chain's Kronecker power into vec, factor by factor.
+
+        Each round applies the factor along one digit position of the index and
+        rotates that position out; depth rounds restore the original layout.
+        Denominators are cleared once (da for the factor, dv for vec), the
+        rounds run on Python ints over the factor's nonzero entries only
+        (b(b+1)/2 of them for a lower-triangular seed), and each entry is
+        divided once by da^depth * dv at the end: O(depth * nnz * b^(depth-1))
+        integer operations in all. A unit entry adds its block unmultiplied,
+        and each row's sum starts from its first term, not from zeros.
+        Entries must be int or Fraction (TypeError otherwise); the result is
+        a list of Fractions.
+        """
+        b = self.base_factor.nrows
+        if len(vec) != self.dim:
+            raise ValueError(
+                f"vector length {len(vec)} does not match dimension {self.dim}"
+            )
+        flat, da = over_common_denominator([e for row in self.base_factor.rows for e in row], "factor")
+        v, dv = over_common_denominator(vec, "vector")
+        # each factor row as (t, integer entry) pairs over its nonzeros
+        rows = [[(t, c) for t, c in enumerate(flat[i * b : (i + 1) * b]) if c] for i in range(b)]
+        m = self.dim // b
+        for _ in range(self.depth):
+            # out[j*b + i] = sum_t a[i][t] * v[t*m + j]: block t of v is v[t*m : (t+1)*m]
+            blocks = [v[t * m : (t + 1) * m] for t in range(b)]
+            out = [0] * len(v)
+            for i, pairs in enumerate(rows):
+                if not pairs:
+                    continue  # a zero row leaves its zeros
+                # the first term starts the sum; a unit entry adds its block as it is
+                (t, c), *rest = pairs
+                acc = blocks[t] if c == 1 else list(map(mul, repeat(c), blocks[t]))
+                for t, c in rest:
+                    acc = list(map(add, acc, blocks[t] if c == 1 else map(mul, repeat(c), blocks[t])))
+                out[i::b] = acc
+            v = out
+        d = da**self.depth * dv
+        return [Fraction(n, d) for n in v]
 
 
 def kron_chain(

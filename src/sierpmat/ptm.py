@@ -8,7 +8,8 @@ routes kept apart to be checked against each other. Also here: the bidiagonal
 factor matrix M, the generator pair products U = S T and V = T S with
 T = M^t, their power relations, and equal-power-sum partitions of
 {0, ..., b^(M+1) - 1}. Each family is the Kronecker power of its b x b
-seed, and the seed of U, V or a braid product is the product of seeds.
+seed (m_base, t_base, u_base, v_base), and the seed of U, V or a braid
+product is the product of seeds.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from typing import Optional, Sequence
 from .digits import _check_base, dominated_set, parity_w, ptm, to_digits
 from .exactpoly import Polynomial, over_common_denominator
 from .matrix import DEFAULT_CAP, Matrix, Record, checked_dim, kron_chain
-from .sierpinski import structured_apply
 
 __all__ = [
     "ZeroSumVector",
     "UniPoly",
-    "m_matrix",
-    "t_matrix",
+    "m_base",
+    "t_base",
+    "u_base",
+    "v_base",
     "s_int",
     "f_vector",
     "coefficients_by_formula",
@@ -36,8 +38,6 @@ __all__ = [
     "base3_corollary_check",
     "prouhet_partition",
     "power_sums",
-    "u_matrix",
-    "v_matrix",
     "power_relation_check",
     "eigen_poly_annihilation_check",
     "braid_check",
@@ -111,7 +111,9 @@ class UniPoly(Polynomial):
     __repr__ = __str__
 
 
-def _m_base(b: int) -> Matrix:
+def m_base(b: int) -> Matrix:
+    """The bidiagonal seed M_1 (1 on the diagonal, -1 just below it); its
+    Kronecker power M is the inverse of s_int."""
     return Matrix(
         [
             [1 if j == k else (-1 if j == k + 1 else 0) for k in range(b)]
@@ -120,31 +122,23 @@ def _m_base(b: int) -> Matrix:
     )
 
 
-def _t_base(b: int) -> Matrix:
-    return _m_base(b).transpose()
+def t_base(b: int) -> Matrix:
+    """T_1 = M_1^t, the seed of T."""
+    return m_base(b).transpose()
 
 
 def _s_int_base(b: int) -> Matrix:
     return Matrix([[1 if j >= k else 0 for k in range(b)] for j in range(b)])
 
 
-def _u_base(b: int) -> Matrix:
-    return _s_int_base(b) * _t_base(b)
+def u_base(b: int) -> Matrix:
+    """S_1 T_1, the seed of U = S T."""
+    return _s_int_base(b) * t_base(b)
 
 
-def _v_base(b: int) -> Matrix:
-    return _t_base(b) * _s_int_base(b)
-
-
-def m_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    """Kronecker power of the bidiagonal seed (1 on the diagonal, -1 just
-    below it); inverse of s_int."""
-    return kron_chain(_m_base, b, depth, cap).dense()
-
-
-def t_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    """Kronecker power of M_1^t, the transpose of m_matrix."""
-    return kron_chain(_t_base, b, depth, cap).dense()
+def v_base(b: int) -> Matrix:
+    """T_1 S_1, the seed of V = T S."""
+    return t_base(b) * _s_int_base(b)
 
 
 def s_int(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
@@ -182,7 +176,7 @@ def coefficients_by_matrix(
     """Same vector via the matrix route c = S a, with S = s_int(b, depth)
     applied factor by factor as a Kronecker chain, never built densely; kept
     separate from the dominated-sum route so the two can be cross-checked."""
-    return structured_apply(kron_chain(_s_int_base, b, depth, cap), f_vector(b, depth, a, cap))
+    return kron_chain(_s_int_base, b, depth, cap).apply(f_vector(b, depth, a, cap))
 
 
 def factorization(
@@ -235,22 +229,12 @@ def power_sums(sets: Sequence[Sequence[int]], max_degree: int) -> list[list[int]
     return [[sum(n**m for n in s) for s in sets] for m in range(max_degree + 1)]
 
 
-def u_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    """U = S T, the Kronecker power of the seed S_1 T_1."""
-    return kron_chain(_u_base, b, depth, cap).dense()
-
-
-def v_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
-    """V = T S, the Kronecker power of the seed T_1 S_1."""
-    return kron_chain(_v_base, b, depth, cap).dense()
-
-
 def _sts_base(b: int) -> Matrix:
-    return _u_base(b) * _s_int_base(b)
+    return u_base(b) * _s_int_base(b)
 
 
 def _tst_base(b: int) -> Matrix:
-    return _v_base(b) * _t_base(b)
+    return v_base(b) * t_base(b)
 
 
 def _powers_are_signed_identity(seeds, b: int, depth: int, k: int, sign: int, cap: int) -> bool:
@@ -264,7 +248,7 @@ def _powers_are_signed_identity(seeds, b: int, depth: int, k: int, sign: int, ca
 def power_relation_check(b: int, depth: int, cap: int = DEFAULT_CAP) -> bool:
     """U^(b+1) == V^(b+1) == (-1)^(depth*(b+1)) * I, exactly."""
     sign = (-1) ** (b + 1)
-    return _powers_are_signed_identity((_u_base, _v_base), b, depth, b + 1, sign, cap)
+    return _powers_are_signed_identity((u_base, v_base), b, depth, b + 1, sign, cap)
 
 
 def eigen_poly_annihilation_check(b: int) -> bool:
@@ -272,7 +256,7 @@ def eigen_poly_annihilation_check(b: int) -> bool:
     and T_1 S_1 (their eigenvalues are exactly the roots of p)."""
     _check_base(b)
     zero = Matrix([[0] * b for _ in range(b)])
-    for mat in (_u_base(b), _v_base(b)):
+    for mat in (u_base(b), v_base(b)):
         # one running power: a mat.power(j) per j would form b^2/2 products, not b
         acc = Matrix.identity(b) * (-1)
         power = Matrix.identity(b)

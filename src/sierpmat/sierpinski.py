@@ -10,15 +10,12 @@ two routes are checked against each other in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import comb, factorial
-from operator import add, mul
 from typing import Optional, Sequence
 
 from .digits import _check_base, _check_depth, dominated_set, dominates, to_digits
 from .exactpoly import (
-    ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, over_common_denominator, rising_table,
-    sum_of_products,
+    ONE, X, Y, ZERO, Polynomial, Rational, binom_rising, rising_table, sum_of_products,
 )
 from .matrix import DEFAULT_CAP, KroneckerChain, Matrix, checked_dim, kron_chain
 
@@ -29,8 +26,6 @@ __all__ = [
     "verify_one_parameter",
     "digital_binomial_sides",
     "multiplicity_identity_sides",
-    "gould_check",
-    "shifted_gould_check",
     "stirling_first",
     "stirling_identity_check",
     "x_base",
@@ -56,7 +51,7 @@ def s_matrix(b: int, depth: int, cap: int = DEFAULT_CAP) -> Matrix:
 
 def s_chain(b: int, depth: int, x0: Rational, cap: int = DEFAULT_CAP) -> KroneckerChain:
     """S(x0) as the chain of s_base(b) with x evaluated at x0 (Fractions)."""
-    return kron_chain(lambda base: s_base(base).map(lambda p: p.eval(x0)), b, depth, cap)
+    return kron_chain(s_base, b, depth, cap).map(lambda p: p.eval(x0))
 
 
 def _short(n: int) -> str:
@@ -179,27 +174,6 @@ def multiplicity_identity_sides(n: int, b: int) -> tuple[Polynomial, Polynomial]
     return lhs, rhs
 
 
-def gould_check(n: int) -> bool:
-    """Convolution identity
-    sum_k C(x+k, k) C(y+n-k, n-k) == C(x+y+n+1, n), checked symbolically."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    # C(x+k, k) is the rising binomial in x+1
-    tx, ty = rising_table(n, X + 1), rising_table(n, Y + 1)
-    lhs = sum_of_products((tx[k], ty[n - k]) for k in range(n + 1))
-    return lhs == binom_rising(n, X + Y + 2)
-
-
-def shifted_gould_check(p: int, q: int) -> bool:
-    """Shifted-index form:
-    sum_{v=q}^{p} C(x+p-v-1, p-v) C(y+v-q-1, v-q) == C(x+y+p-q-1, p-q)."""
-    if not 1 <= q <= p:
-        raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
-    tx, ty = rising_table(p - q, X), rising_table(p - q, Y)
-    lhs = sum_of_products((tx[p - v], ty[v - q]) for v in range(q, p + 1))
-    return lhs == binom_rising(p - q, X + Y)
-
-
 def stirling_first(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind c(n, k): coefficient of x^k
     in x(x+1)...(x+n-1), equivalently n-permutations with k cycles."""
@@ -299,42 +273,5 @@ def matrix_exp_nilpotent(x_mat: Matrix) -> Matrix:
     return result
 
 
-def structured_apply(chain: KroneckerChain, vec: Sequence) -> list:
-    """Multiply the chain's Kronecker power into vec, factor by factor.
-
-    Each round applies the factor along one digit position of the index and
-    rotates that position out; depth rounds restore the original layout.
-    Denominators are cleared once (da for the factor, dv for vec), the
-    rounds run on Python ints over the factor's nonzero entries only
-    (b(b+1)/2 of them for a lower-triangular seed), and each entry is
-    divided once by da^depth * dv at the end: O(depth * nnz * b^(depth-1))
-    integer operations in all. A unit entry adds its block unmultiplied,
-    and each row's sum starts from its first term, not from zeros. Entries must be int or Fraction (TypeError
-    otherwise); the result is a list of Fractions.
-    """
-    b = chain.base_factor.nrows
-    if len(vec) != chain.dim:
-        raise ValueError(
-            f"vector length {len(vec)} does not match dimension {chain.dim}"
-        )
-    flat, da = over_common_denominator([e for row in chain.base_factor.rows for e in row], "factor")
-    v, dv = over_common_denominator(vec, "vector")
-    # each factor row as (t, integer entry) pairs over its nonzeros
-    rows = [[(t, c) for t, c in enumerate(flat[i * b : (i + 1) * b]) if c] for i in range(b)]
-    m = chain.dim // b
-    for _ in range(chain.depth):
-        # out[j*b + i] = sum_t a[i][t] * v[t*m + j]: block t of v is v[t*m : (t+1)*m]
-        blocks = [v[t * m : (t + 1) * m] for t in range(b)]
-        out = [0] * len(v)
-        for i, pairs in enumerate(rows):
-            if not pairs:
-                continue  # a zero row leaves its zeros
-            # the first term starts the sum; a unit entry adds its block as it is
-            (t, c), *rest = pairs
-            acc = blocks[t] if c == 1 else list(map(mul, repeat(c), blocks[t]))
-            for t, c in rest:
-                acc = list(map(add, acc, blocks[t] if c == 1 else map(mul, repeat(c), blocks[t])))
-            out[i::b] = acc
-        v = out
-    d = da**chain.depth * dv
-    return [Fraction(n, d) for n in v]
+# the chain's own product, kept under its old name for callers and the bench tracer
+structured_apply = KroneckerChain.apply

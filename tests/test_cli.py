@@ -92,7 +92,7 @@ def test_matrix_csv_symbolic_rejected(capsys):
 @pytest.mark.parametrize("kind", ["S", "X"])
 def test_matrix_csv_symbolic_refused_before_build(capsys, monkeypatch, kind):
     built = []
-    monkeypatch.setattr(sierpinski, "s_matrix", lambda *a: built.append("S"))
+    monkeypatch.setattr(sierpinski, "s_base", lambda *a: built.append("S"))
     monkeypatch.setattr(sierpinski, "x_matrix", lambda *a: built.append("X"))
     code, out, _ = run(capsys, "matrix", kind, "--depth", "12", "--format", "csv")
     assert code == 2 and out == "" and built == []
@@ -101,7 +101,7 @@ def test_matrix_csv_symbolic_refused_before_build(capsys, monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["M", "T", "U", "V"])
 def test_matrix_eval_refused_for_integer_kinds(capsys, monkeypatch, kind):
     built = []
-    for name in ("m_matrix", "t_matrix", "u_matrix", "v_matrix"):
+    for name in ("m_base", "t_base", "u_base", "v_base"):
         monkeypatch.setattr(ptm, name, lambda *a, name=name: built.append(name))
     code, out, err = run(capsys, "matrix", kind, "--base", "2", "--depth", "1", "--eval", "7/3")
     assert (code, out, built) == (2, "", [])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sierpmat.ptm as ptm_mod
 from sierpmat.digits import digit_sum, dominated_set, dominates, ptm, to_digits
 from sierpmat.exactpoly import X, Polynomial
-from sierpmat.matrix import Matrix, kron_chain
+from sierpmat.matrix import KroneckerChain, Matrix, kron_chain
 from sierpmat.ptm import (
     UniPoly,
     ZeroSumVector,
@@ -19,18 +19,23 @@ from sierpmat.ptm import (
     eigen_poly_annihilation_check,
     f_vector,
     factorization,
-    m_matrix,
+    m_base,
     power_relation_check,
     power_sums,
     prouhet_partition,
     random_zero_sum,
     s_int,
     square_relation_check,
-    t_matrix,
-    u_matrix,
-    v_matrix,
+    t_base,
+    u_base,
+    v_base,
 )
-from sierpmat.sierpinski import s_matrix, structured_apply
+from sierpmat.sierpinski import s_matrix
+
+
+def _dense(seed, b, depth):
+    # the family M, T, U or V itself: the chain of its seed, expanded
+    return kron_chain(seed, b, depth).dense()
 
 
 # -- ZeroSumVector ----------------------------------------------------------
@@ -176,8 +181,8 @@ def test_unipoly_matches_dense_reference(p, q, x0):
 
 
 def test_m1_displays():
-    assert m_matrix(2, 1) == Matrix([[1, 0], [-1, 1]])
-    assert m_matrix(3, 1) == Matrix([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
+    assert _dense(m_base, 2, 1) == Matrix([[1, 0], [-1, 1]])
+    assert _dense(m_base, 3, 1) == Matrix([[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
 
 
 def test_s1_display():
@@ -187,7 +192,7 @@ def test_s1_display():
 @pytest.mark.parametrize("b", [2, 3, 4])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_m_s_mutual_inverse(b, depth):
-    m = m_matrix(b, depth)
+    m = _dense(m_base, b, depth)
     s = s_int(b, depth)
     eye = Matrix.identity(b**depth)
     assert m * s == eye
@@ -258,8 +263,9 @@ def test_coefficient_routes_refuse_past_cap_before_building(route, monkeypatch):
     def built(*args):
         raise AssertionError("built something past the cap")
 
-    for name in ("_s_int_base", "dominated_set", "structured_apply"):
+    for name in ("_s_int_base", "dominated_set"):
         monkeypatch.setattr(ptm_mod, name, built)
+    monkeypatch.setattr(KroneckerChain, "apply", built)
     a = ZeroSumVector(3, (1, 1, -2))
     with pytest.raises(ValueError, match="exceeds cap"):
         route(3, 4, a, cap=80)
@@ -446,9 +452,9 @@ def test_prouhet_rejects_negative_degree():
 
 
 def test_u_v_displays_b2():
-    assert u_matrix(2, 1) == Matrix([[1, -1], [1, 0]])
-    assert v_matrix(2, 1) == Matrix([[0, -1], [1, 1]])
-    assert u_matrix(2, 2).rows[0] == (1, -1, -1, 1)
+    assert _dense(u_base, 2, 1) == Matrix([[1, -1], [1, 0]])
+    assert _dense(v_base, 2, 1) == Matrix([[0, -1], [1, 1]])
+    assert _dense(u_base, 2, 2).rows[0] == (1, -1, -1, 1)
 
 
 # every (b, N) with b^N <= 729 for b = 2..5
@@ -465,10 +471,10 @@ def _braid_sides(b, depth):
 def test_seed_products_match_dense_products(b, depth):
     # U, V and the braid products are Kronecker powers of seed products; the
     # full-size products of S and T are the pinned reference
-    s, t = s_int(b, depth), t_matrix(b, depth)
-    assert t == m_matrix(b, depth).transpose()
-    assert u_matrix(b, depth) == s * t
-    assert v_matrix(b, depth) == t * s
+    s, t = s_int(b, depth), _dense(t_base, b, depth)
+    assert t == _dense(m_base, b, depth).transpose()
+    assert _dense(u_base, b, depth) == s * t
+    assert _dense(v_base, b, depth) == t * s
     assert _braid_sides(b, depth) == (s * t * s, t * s * t)
 
 
@@ -476,8 +482,8 @@ def test_seed_products_match_dense_products(b, depth):
 def test_seed_powers_match_dense_powers(b, depth):
     # the relation checks raise chains to powers through their seeds; the
     # full-size Matrix.power of the dense products is the pinned reference
-    for seed, dense in ((ptm_mod._u_base, u_matrix), (ptm_mod._v_base, v_matrix)):
-        assert kron_chain(seed, b, depth).power(b + 1).dense() == dense(b, depth).power(b + 1)
+    for seed in (u_base, v_base):
+        assert kron_chain(seed, b, depth).power(b + 1).dense() == _dense(seed, b, depth).power(b + 1)
     if b == 2:
         seeds = (ptm_mod._sts_base, ptm_mod._tst_base)
         for seed, product in zip(seeds, _braid_sides(b, depth)):
@@ -485,7 +491,7 @@ def test_seed_powers_match_dense_powers(b, depth):
 
 
 @pytest.mark.parametrize(
-    "seed", [ptm_mod._s_int_base, ptm_mod._m_base, ptm_mod._t_base], ids=["S1", "M", "T"]
+    "seed", [ptm_mod._s_int_base, m_base, t_base], ids=["S1", "M", "T"]
 )
 def test_structured_apply_matches_dense_chain(seed):
     rng = Random(2015)
@@ -495,15 +501,15 @@ def test_structured_apply_matches_dense_chain(seed):
         ints = [rng.randint(-9, 9) for _ in range(chain.dim)]
         fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(chain.dim)]
         for v in (ints, fractions):
-            assert structured_apply(chain, v) == dense.matvec(v), (b, depth)
+            assert chain.apply(v) == dense.matvec(v), (b, depth)
 
 
 def test_u_v_kronecker_recursion():
     for b in (2, 3):
-        u1, v1 = u_matrix(b, 1), v_matrix(b, 1)
+        u1, v1 = _dense(u_base, b, 1), _dense(v_base, b, 1)
         for depth in (2, 3):
-            assert u_matrix(b, depth) == u1.kron(u_matrix(b, depth - 1))
-            assert v_matrix(b, depth) == v1.kron(v_matrix(b, depth - 1))
+            assert _dense(u_base, b, depth) == u1.kron(_dense(u_base, b, depth - 1))
+            assert _dense(v_base, b, depth) == v1.kron(_dense(v_base, b, depth - 1))
 
 
 def _dense_skew(m):
@@ -514,11 +520,11 @@ def _dense_skew(m):
 
 def test_v_is_skew_transpose_of_u():
     for b, depth in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)):
-        assert v_matrix(b, depth) == _dense_skew(u_matrix(b, depth))
+        assert _dense(v_base, b, depth) == _dense_skew(_dense(u_base, b, depth))
 
 
 def test_u1_cubed_is_minus_identity():
-    u = u_matrix(2, 1)
+    u = _dense(u_base, 2, 1)
     assert u.power(3) == Matrix([[-1, 0], [0, -1]])
 
 
@@ -529,11 +535,10 @@ def test_power_relations(b, depth):
 
 
 def test_power_relation_fails_on_a_wrong_seed(monkeypatch):
-    u = ptm_mod._u_base
     # (-U_1)^3 == I, not -I: the chain's sign is wrong at odd depth only
-    monkeypatch.setattr(ptm_mod, "_u_base", lambda b: u(b) * -1)
+    monkeypatch.setattr(ptm_mod, "u_base", lambda b: u_base(b) * -1)
     assert [power_relation_check(2, depth) for depth in (1, 2, 3)] == [False, True, False]
-    monkeypatch.setattr(ptm_mod, "_u_base", ptm_mod._s_int_base)
+    monkeypatch.setattr(ptm_mod, "u_base", ptm_mod._s_int_base)
     for depth in (1, 2, 3):
         assert power_relation_check(2, depth) is False
 
@@ -563,7 +568,7 @@ def test_braid_fails_above_b2_with_witness():
 def test_q_and_r_squares_b2():
     for depth in (1, 2, 3):
         s = s_int(2, depth)
-        t = t_matrix(2, depth)
+        t = _dense(t_base, 2, depth)
         q = s * t * s
         r = t * s * t
         sign = -1 if depth % 2 else 1
@@ -575,7 +580,7 @@ def test_q_and_r_squares_b2():
 
 def test_checks_share_braid_products(monkeypatch):
     for b, depth in ((2, 1), (2, 3), (3, 2)):
-        s, t = s_int(b, depth), t_matrix(b, depth)
+        s, t = s_int(b, depth), _dense(t_base, b, depth)
         assert _braid_sides(b, depth) == (s * t * s, t * s * t)
     sts, s = ptm_mod._sts_base, ptm_mod._s_int_base
     for depth in (1, 2, 3):

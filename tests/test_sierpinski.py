@@ -13,14 +13,12 @@ from sierpmat.exactpoly import ONE, X, Y, ZERO, Polynomial, binom_rising, rising
 from sierpmat.matrix import KroneckerChain, Matrix
 from sierpmat.sierpinski import (
     digital_binomial_sides,
-    gould_check,
     matrix_exp_nilpotent,
     multiplicity_identity_sides,
     s_base,
     s_chain,
     s_entry,
     s_matrix,
-    shifted_gould_check,
     stirling_first,
     stirling_identity_check,
     structured_apply,
@@ -164,10 +162,12 @@ def test_s_entry_index_error_for_indices_past_str_limit():
 
 
 def test_s_chain_dense_matches_symbolic_eval():
-    for b, depth in ((2, 3), (3, 2)):
-        x0 = Fraction(3, 2)
-        sym = s_matrix(b, depth).map(lambda p: p.eval(x0))
-        assert s_chain(b, depth, x0).dense() == sym
+    # at x0 = 0, -1 or -2 seed entries vanish, and below 0 some go negative:
+    # evaluating the seed must still give the evaluated symbolic matrix
+    for x0 in (Fraction(3, 2), 0, -1, -2, Fraction(-7, 3)):
+        for b, depth in ((2, 3), (3, 2), (4, 2)):
+            sym = s_matrix(b, depth).map(lambda p: p.eval(x0))
+            assert s_chain(b, depth, x0).dense() == sym, (x0, b, depth)
 
 
 def test_one_parameter_small():
@@ -320,30 +320,12 @@ def test_sides_sum_over_every_dominated_m(monkeypatch, n, b):
         assert lhs != rhs, (sides.__name__, n, b)
 
 
-def test_gould_small_and_symbolic():
-    assert gould_check(0)
-    # n=1: (x+1) + (y+1) against x+y+2
-    assert gould_check(1)
-    for n in range(2, 7):
-        assert gould_check(n)
-
-
-def test_gould_at_rational_points():
-    with pytest.raises(ValueError):
-        gould_check(-1)
-
-
-def test_shifted_gould():
-    assert shifted_gould_check(3, 3)
-    assert shifted_gould_check(4, 3)
-    assert shifted_gould_check(5, 2)
-    for p in range(1, 7):
-        for qq in range(1, p + 1):
-            assert shifted_gould_check(p, qq)
-    with pytest.raises(ValueError):
-        shifted_gould_check(2, 3)
-    with pytest.raises(ValueError):
-        shifted_gould_check(2, 0)
+def test_one_digit_sides_are_chu_vandermonde():
+    # at one digit d the two sides are Gould's convolution (Chu-Vandermonde):
+    # sum_c binom_rising(c, x) binom_rising(d - c, y) == binom_rising(d, x + y)
+    for d in range(12):
+        lhs, rhs = digital_binomial_sides(d, max(d + 1, 2))
+        assert lhs == rhs == binom_rising(d, X + Y), d
 
 
 def test_stirling_first_values():
